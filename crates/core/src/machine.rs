@@ -342,6 +342,16 @@ fn mem_superblocks_default() -> bool {
     })
 }
 
+/// Process-wide default engine choice (DESIGN.md §9), read once from
+/// `SWITCHLESS_ENGINE`: `serial` pins every machine to the serial
+/// reference loop, anything else (or unset) lets multi-core machines run
+/// on the core-sharded epoch engine. Host-side wall-clock knob only;
+/// simulated state is bit-identical either way.
+fn serial_engine_default() -> bool {
+    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *DEFAULT.get_or_init(|| matches!(std::env::var("SWITCHLESS_ENGINE").as_deref(), Ok("serial")))
+}
+
 type HostCall = Box<dyn FnMut(&mut Machine, ThreadId)>;
 type MmioHook = Box<dyn FnMut(&mut Machine, u64)>;
 type HostEvent = Box<dyn FnOnce(&mut Machine)>;
@@ -492,13 +502,18 @@ pub struct Machine {
     /// Named per-device conservation ledgers ([`Machine::ledger`]).
     /// A `Vec` keeps iteration in attach order (determinism).
     device_ledgers: Vec<(&'static str, Ledger)>,
-    /// Worker threads for the core-sharded epoch engine; 1 = serial.
+    /// Host threads for the core-sharded epoch engine; 1 = inline.
     pub(crate) machine_jobs: usize,
+    /// Pins the serial reference loop even on multi-core machines.
+    pub(crate) serial_engine: bool,
     /// Host-declared per-core private data windows `(base, len)` for the
     /// epoch engine ([`Machine::set_core_domain`]). A worker may execute
     /// loads/stores that land fully inside its own core's window; loads
     /// fully outside *every* window read the frozen epoch-start image.
     pub(crate) core_domains: Vec<Option<(u64, u64)>>,
+    /// Per-core undo journals for the epoch engine's in-place domain
+    /// writes.
+    pub(crate) domain_journals: Vec<crate::shard::DomainJournal>,
     /// Adaptive epoch length for the sharded engine (host-side knob;
     /// never observable in simulated state).
     pub(crate) epoch_len: Cycles,
@@ -533,7 +548,7 @@ pub struct Machine {
 /// outside [`Counters`] deliberately: they describe how the simulation
 /// was *executed* (epochs attempted, bailed, committed), not what the
 /// simulated machine did, so they must not leak into results files or
-/// chaos digests that are compared across `--machine-jobs` settings.
+/// chaos digests that are compared across engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Epochs whose speculative execution was committed.
@@ -620,7 +635,9 @@ impl Machine {
             exc_ledger: Ledger::default(),
             device_ledgers: Vec::new(),
             machine_jobs: 1,
+            serial_engine: serial_engine_default(),
             core_domains: vec![None; cfg.cores],
+            domain_journals: vec![Default::default(); cfg.cores],
             epoch_len: Cycles(64),
             shard_stats: ShardStats::default(),
             sb_on: superblocks_default(),
@@ -668,19 +685,36 @@ impl Machine {
         &mut self.counters
     }
 
-    /// Sets the number of host worker threads the core-sharded epoch
-    /// engine may use (see `shard.rs`). `0` or `1` selects the serial
-    /// engine. The simulated outcome is bit-identical for every value —
-    /// the epoch engine only commits speculation it can prove the serial
-    /// engine would reproduce — so this is purely a wall-clock knob.
+    /// Sets the number of host threads the core-sharded epoch engine
+    /// (see `shard.rs`) may use. `0` or `1` runs every epoch inline on
+    /// the calling thread, with no thread spawns; the engine itself is
+    /// chosen by [`Machine::set_serial_engine`]. The simulated outcome
+    /// is bit-identical for every value — the epoch engine only commits
+    /// speculation it can prove the serial engine would reproduce — so
+    /// this is purely a wall-clock knob.
     pub fn set_machine_jobs(&mut self, jobs: usize) {
         self.machine_jobs = jobs.max(1);
     }
 
-    /// Worker threads the epoch engine may use (1 = serial).
+    /// Host threads the epoch engine may use (1 = inline).
     #[must_use]
     pub fn machine_jobs(&self) -> usize {
         self.machine_jobs
+    }
+
+    /// Pins the serial reference loop (`true`) or lets multi-core
+    /// machines run on the epoch engine (`false`, the default unless
+    /// `SWITCHLESS_ENGINE=serial`). Single-core machines and machines
+    /// with the invariant checker on always run serially. Purely a
+    /// wall-clock knob: both engines produce bit-identical state.
+    pub fn set_serial_engine(&mut self, on: bool) {
+        self.serial_engine = on;
+    }
+
+    /// Whether the serial reference loop is pinned.
+    #[must_use]
+    pub fn serial_engine(&self) -> bool {
+        self.serial_engine
     }
 
     /// Enables or disables the superblock engine (DESIGN.md §10).
@@ -1472,12 +1506,13 @@ impl Machine {
 
     /// Runs until simulated time `t` (or the machine halts).
     ///
-    /// With [`Machine::set_machine_jobs`] above 1 (and the invariant
-    /// checker off — it wants to observe every event boundary), the
-    /// core-sharded epoch engine in `shard.rs` runs instead; it is
-    /// bit-identical to this serial loop by construction.
+    /// Machines with two or more cores run on the core-sharded epoch
+    /// engine in `shard.rs`, which is bit-identical to the serial loop by
+    /// construction. The serial loop runs instead on one core, with the
+    /// invariant checker on (it wants to observe every event boundary),
+    /// or when pinned by [`Machine::set_serial_engine`].
     pub fn run_until(&mut self, t: Cycles) {
-        if self.machine_jobs > 1 && !self.invariants_on {
+        if self.cfg.cores >= 2 && !self.serial_engine && !self.invariants_on {
             self.run_until_sharded(t);
         } else {
             self.run_until_serial(t);

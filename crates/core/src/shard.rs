@@ -1,42 +1,51 @@
 //! Conservative core-sharded parallel engine (see DESIGN.md §9).
 //!
-//! [`Machine::run_until`] with `machine_jobs > 1` executes *epochs*: the
-//! host stages every event strictly below a cross-core event horizon `B`,
-//! hands each core's staged events to a worker running against **clones**
-//! of that core's private state (scheduler, state store, L1/L2, TLB,
-//! prefetch capture, threads enrolled there, and its registered memory
-//! domain), and commits all of it back at an epoch barrier.
+//! [`Machine::run_until`] on a multi-core machine executes *epochs*: the
+//! host stages every event strictly below a cross-core event horizon `B`
+//! and hands each core's staged events to a worker. The worker runs
+//! against clones of that core's small private state (scheduler, state
+//! store, TLB, prefetch capture, threads enrolled there) and against
+//! in-place borrows of its L1/L2 and its registered memory domain, whose
+//! changes it journals on first touch. At the epoch barrier the clones
+//! are spliced back, or, if the epoch is discarded, the journals are
+//! replayed, so a discarded epoch costs what it touched.
 //!
 //! The engine is speculative in implementation but conservative in
 //! effect: a worker that would touch anything outside its shard — another
 //! core's memory domain, the monitor filter, an hcall, an exception, the
 //! shared L3, an MMIO doorbell — abandons the epoch (`Bail`), the clones
-//! are dropped, the staged events are restored under their original
-//! `(time, seq)` keys, and the window replays on the serial engine. A
-//! committed epoch is **bit-identical** to the serial engine by
-//! construction:
+//! are dropped, the journals undone, the staged events are restored under
+//! their original `(time, seq)` keys, and the window replays on the
+//! serial engine. A committed epoch is **bit-identical** to the serial
+//! engine by construction:
 //!
 //! * Workers replay the serial order *restricted to their core*: staged
 //!   events in staging order (= relative seq order) and worker-created
 //!   events in creation order, merged locally by `(time, key)` exactly as
 //!   the global queue would order them (staged keys precede fresh keys,
 //!   matching queue seq assignment).
-//! * Cross-record effects — wake-latency samples, `last_wake`, `now`
-//!   evolution, and queue seqs for surviving events — are reconstructed
-//!   by [`switchless_sim::shard::merge_epoch`], a k-way merge on virtual
-//!   sequence numbers that provably equals the serial pop order. The two
-//!   cross-core ties the vseq model cannot order faithfully (equal-time
-//!   survivors and equal-time wake records from different cores) are
-//!   detected at commit and turned into a bail.
+//! * Cross-core effects are order-free or ordered by time: the committed
+//!   `now` is the latest worker cursor, wake-latency samples land in an
+//!   order-independent histogram, and `last_wake` is the latest sample
+//!   in `(pop time, per-core order)`, which is serial pop order.
+//! * Every core runs to the same horizon `B`, so each event still pending
+//!   after a commit was created by a pop below `B`, and every later event
+//!   by a pop at or above it: their relative queue seqs are the serial
+//!   ones. Survivors of different cores due the same cycle are queued in
+//!   the order the serial engine creates them, read off each core's
+//!   recent action history ([`Origin`]). A tie that history cannot break
+//!   (or equal-time wake records from different cores) is detected at
+//!   commit and the epoch is retried or replayed.
 //! * The serial engine's burst splits (foreign-event horizon checks,
 //!   `MAX_BURST`, stale deadline hints) are observably invisible — same
 //!   instructions at the same start cycles, identical cost accounting,
 //!   identical store-tier stamps up to relative order — so workers may
 //!   place splits differently (at `B`) without divergence.
 //!
-//! Nothing here runs unless the host opts in via
-//! [`Machine::set_machine_jobs`] and partitions memory with
-//! [`Machine::set_core_domain`]; the serial engine remains the reference.
+//! Without [`Machine::set_core_domain`] every store bails, so the engine
+//! degrades to serial replay with bounded retry cost. The serial engine
+//! remains the reference oracle ([`Machine::set_serial_engine`],
+//! `SWITCHLESS_ENGINE=serial`).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -50,7 +59,6 @@ use switchless_mem::monitor::{MonitorFilter, WatchId};
 use switchless_mem::prefetch::PrefetchView;
 use switchless_mem::tlb::Tlb;
 use switchless_sim::par::par_map_owned;
-use switchless_sim::shard::{merge_epoch, EpochRecord, PopKey};
 use switchless_sim::time::Cycles;
 
 use crate::machine::{CodeRange, CoreState, Ev, Machine, MachineConfig, Thread, MAX_BURST};
@@ -60,7 +68,9 @@ use crate::tid::{Ptid, ThreadState};
 
 /// Epochs double up to this length while committing cleanly.
 const MAX_EPOCH: u64 = 1 << 20;
-/// Epochs halve down to this length while bailing.
+/// Epochs halve down to this length while bailing; also the first
+/// serial-replay span after a bail, which doubles (up to `MAX_EPOCH`) on
+/// every consecutive bail and resets on a commit.
 const MIN_EPOCH: u64 = 64;
 
 /// What became of one attempted epoch.
@@ -68,23 +78,95 @@ pub(crate) enum EpochOutcome {
     /// The whole window `[head, B)` ran in parallel and was committed.
     Committed,
     /// A worker left its shard mid-window; the staged events were
-    /// restored and `[head, B)` must replay serially to make progress.
-    Bailed(Cycles),
+    /// restored and the driver replays a span from `head` serially to
+    /// make progress.
+    Bailed,
     /// The window itself ran clean but a commit-time cross-core time tie
-    /// (equal-time survivors or wake samples) made the merge unsound.
-    /// The window's *interior* was conflict-free, so the driver retries
-    /// with a smaller window first — a different horizon shifts the
-    /// burst-end survivor times and usually breaks the tie — and only
-    /// falls back to serial replay of `[head, B)` on a tie streak
-    /// (phase-locked cores tie at every horizon).
+    /// (equal-time survivors with equal start cycles, or equal-time wake
+    /// samples) made the merge unsound. Carries the earliest tied cycle:
+    /// the window's *interior* was conflict-free, so the driver retries
+    /// with the horizon pulled back to that cycle — the tied instructions
+    /// then no longer start inside the window — and treats a tie streak
+    /// like a bail.
     Tie(Cycles),
     /// Fewer than two cores had events below `B`; nothing ran.
     TooFew(Cycles),
 }
 
 /// A worker abandoning the epoch. Carries nothing: the clones are
-/// dropped wholesale and the real machine was never touched.
+/// dropped wholesale and the journals undo the in-place changes.
 struct Bail;
+
+/// First-touch undo journal for one core's memory domain: the
+/// epoch-start bytes of every 64-byte chunk a worker writes, so a
+/// discarded epoch restores only what it touched.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DomainJournal {
+    /// Per-chunk generation: a chunk is saved when its entry differs
+    /// from `gen` (bumped by every `begin`, so nothing needs clearing).
+    chunk_gen: Vec<u32>,
+    gen: u32,
+    saved: Vec<(u32, [u8; 64])>,
+}
+
+impl DomainJournal {
+    fn begin(&mut self, len: usize) {
+        let chunks = len.div_ceil(64);
+        if self.chunk_gen.len() != chunks {
+            self.chunk_gen = vec![0; chunks];
+            self.gen = 0;
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.chunk_gen.fill(0);
+            self.gen = 1;
+        }
+        self.saved.clear();
+    }
+
+    /// Saves the chunks covering `bytes[off..off + len]` not yet saved.
+    fn save(&mut self, bytes: &[u8], off: usize, len: usize) {
+        for k in off / 64..=(off + len - 1) / 64 {
+            if self.chunk_gen[k] != self.gen {
+                self.chunk_gen[k] = self.gen;
+                let (lo, hi) = (k * 64, (k * 64 + 64).min(bytes.len()));
+                let mut img = [0u8; 64];
+                img[..hi - lo].copy_from_slice(&bytes[lo..hi]);
+                self.saved.push((k as u32, img));
+            }
+        }
+    }
+
+    /// Puts `bytes` back as they were at `begin`.
+    fn rollback(&mut self, bytes: &mut [u8]) {
+        for &(k, img) in &self.saved {
+            let (lo, hi) = (k as usize * 64, (k as usize * 64 + 64).min(bytes.len()));
+            bytes[lo..hi].copy_from_slice(&img[..hi - lo]);
+        }
+        self.saved.clear();
+    }
+}
+
+/// A worker's in-place borrow of its core's memory domain.
+struct Domain<'a> {
+    base: u64,
+    bytes: &'a mut [u8],
+    journal: &'a mut DomainJournal,
+}
+
+impl Domain<'_> {
+    /// Offset of `[addr, addr + len)` when it lies fully inside.
+    fn offset(&self, addr: u64, len: u64) -> Option<usize> {
+        (addr >= self.base && addr + len <= self.base + self.bytes.len() as u64)
+            .then(|| (addr - self.base) as usize)
+    }
+
+    /// Journaled write at a domain offset.
+    fn write(&mut self, off: usize, data: &[u8]) {
+        self.journal.save(self.bytes, off, data.len());
+        self.bytes[off..off + data.len()].copy_from_slice(data);
+    }
+}
 
 /// Epoch-constant state shared read-only by every worker.
 struct Shared<'a> {
@@ -98,10 +180,11 @@ struct Shared<'a> {
     /// Number of events staged out of the real queue (key namespace
     /// split: local keys below this are staged, at/above are fresh).
     staged_total: u64,
-    /// Machine memory, frozen for the epoch. Reads that land fully
-    /// outside every registered domain are served from here; writes
-    /// outside the worker's own domain bail.
-    mem: &'a [u8],
+    /// Machine memory outside every registered domain, frozen for the
+    /// epoch, as `(base, bytes)` runs in address order. Reads that land
+    /// fully outside every domain are served from here; writes outside
+    /// the worker's own domain bail.
+    gaps: Vec<(u64, &'a [u8])>,
     filter: &'a dyn MonitorFilter,
     code: &'a [CodeRange],
     code_lo: u64,
@@ -110,16 +193,6 @@ struct Shared<'a> {
     mmio_addrs: &'a [u64],
     /// Every core's registered domain, for the overlap check.
     domains: &'a [Option<(u64, u64)>],
-    /// Per-core fresh-event horizon stagger: core `c` stops consuming
-    /// its *epoch-created* events at `B - gap * c`, so burst-end
-    /// continuation events land in disjoint per-core time bands instead
-    /// of piling up just past a common `B` — which is what made
-    /// commit-time survivor ties near-certain for compute cores with
-    /// dense instruction boundaries. Purely a window-placement choice:
-    /// a held-back event is a survivor exactly as if `B` were lower for
-    /// that core, which per-core horizons permit because a committed
-    /// epoch contains no cross-core effects at all.
-    gap: u64,
     /// Whether workers may consume formed superblocks (read-only: heat
     /// bumping and formation stay in the serial engine, since `code` is
     /// shared across worker threads). Which engine happens to use a
@@ -129,35 +202,38 @@ struct Shared<'a> {
     sb_on: bool,
 }
 
-/// One core's slice of machine state, cloned for the epoch.
-struct WorkerInput {
+/// One core's slice of machine state for the epoch: small state cloned,
+/// caches and memory domain borrowed in place under undo journals.
+struct WorkerInput<'a> {
     core: usize,
     /// `(due, staging index, slot)` for this core's staged `SlotFree`s.
     staged: Vec<(Cycles, u64, u32)>,
     cs: CoreState,
     /// Threads enrolled on this core, sorted by ptid.
     threads: Vec<(u32, Thread)>,
-    caches: CoreCaches,
+    caches: CoreCaches<'a>,
     tlb: Tlb,
     prefetch: PrefetchView,
-    /// `(base, bytes)` scratch copy of this core's memory domain.
-    domain: Option<(u64, Vec<u8>)>,
+    domain: Option<Domain<'a>>,
 }
 
 /// A successful worker's output, spliced back verbatim at commit.
 struct WorkerOk {
     core: usize,
-    /// Every pop, in local order, for the commit-time merge.
-    records: Vec<PopRecord>,
-    /// Fresh events still pending at epoch end:
-    /// `(local creation index, due, slot)`.
-    survivors: Vec<(u64, Cycles, u32)>,
+    /// `(pop time, ptid, sample)` per dispatch that consumed a wake
+    /// stamp, in local order.
+    wakes: Vec<(Cycles, u32, u64)>,
+    /// The worker's final cursor (it only moves forward).
+    now: Cycles,
+    /// Fresh events still pending at epoch end, in creation order:
+    /// `(due, origin, slot)`.
+    survivors: Vec<(Cycles, Origin, u32)>,
     cs: CoreState,
     threads: Vec<(u32, Thread)>,
-    caches: CoreCaches,
+    /// Private-cache write-backs `(l1, l2)` to fold in at commit.
+    writebacks: (u64, u64),
     tlb: Tlb,
     prefetch: PrefetchView,
-    domain: Option<(u64, Vec<u8>)>,
     d_dispatches: u64,
     d_insts: u64,
     d_activate: [u64; 4],
@@ -166,29 +242,33 @@ struct WorkerOk {
     quiet_stores: u64,
 }
 
-/// One event pop, as fed to [`merge_epoch`].
-#[derive(Clone, Copy, Debug)]
-struct PopRecord {
-    time: Cycles,
-    key: PopKey,
-    creates: u64,
-    /// Local `now` after handling the pop (burst cursor included);
-    /// the committed machine `now` is the max over all records.
-    now_after: Cycles,
-    /// `(ptid, sample)` when this dispatch consumed a `wake_at` stamp.
-    wake: Option<(u32, u64)>,
-}
+/// Where in the serial engine's pop order an event is created: the cycle
+/// of the action that scheduled it — the instruction (or the pop) it
+/// follows — then the cycles of the actions before that on the same
+/// core, newest first; [`UNKNOWN`] past what the worker saw. The serial
+/// engine creates equal-time events of different cores in the
+/// lexicographic order of these histories, which is how equal-time
+/// survivors of different cores are queued at commit.
+type Origin = [Cycles; ORIGIN_DEPTH];
 
-impl EpochRecord for PopRecord {
-    fn time(&self) -> Cycles {
-        self.time
-    }
-    fn key(&self) -> PopKey {
-        self.key
-    }
-    fn creates(&self) -> u64 {
-        self.creates
-    }
+/// Actions an [`Origin`] looks back over.
+const ORIGIN_DEPTH: usize = 8;
+
+/// An [`Origin`] entry before the worker's first action.
+const UNKNOWN: Cycles = Cycles(u64::MAX);
+
+/// One action in a worker's recent history (see [`Origin`]).
+#[derive(Clone, Copy)]
+enum Act {
+    /// An instruction started (or a pop dispatched) at this cycle.
+    At(Cycles),
+    /// Superblock `(range, block)` ran, its last instruction starting at
+    /// this cycle.
+    Block(usize, usize, Cycles),
+    /// The pop of fresh event `k`: its own origin continues the history.
+    Event(usize),
+    /// Nothing known further back.
+    Unknown,
 }
 
 /// A worker's private event queue: `(due, key, slot)` min-heap. Keys
@@ -233,7 +313,7 @@ impl LocalQueue {
 
 /// Where a worker memory access resolves.
 enum Loc {
-    /// Offset into the worker's own domain scratch.
+    /// Offset into the worker's own domain.
     Own(usize),
     /// Fully outside every registered domain: the frozen shared image.
     Shared,
@@ -251,25 +331,31 @@ fn find(threads: &[(u32, Thread)], p: Ptid) -> &Thread {
 struct Worker<'a> {
     sh: &'a Shared<'a>,
     core: usize,
-    /// This core's fresh-event horizon (`B - gap * core`): bursts stop
-    /// here so continuation events land in the core's own time band.
-    fresh_b: Cycles,
     cs: CoreState,
     threads: Vec<(u32, Thread)>,
-    caches: CoreCaches,
+    caches: CoreCaches<'a>,
     tlb: Tlb,
     prefetch: PrefetchView,
-    domain: Option<(u64, Vec<u8>)>,
+    domain: Option<Domain<'a>>,
     q: LocalQueue,
     /// Sibling-slot events lifted mid-burst (restored at burst exit).
     stash: Vec<(Cycles, u64, u32)>,
     local_now: Cycles,
-    /// Fresh events created so far (the next fresh key suffix).
-    created: u64,
+    /// Per fresh event created so far, its [`Origin`] (the length is
+    /// the next fresh key suffix).
+    created_at: Vec<Origin>,
+    /// This core's latest actions, a ring (newest at `hist_head`), and
+    /// whether an instruction ran since the latest pop. A pop that is not
+    /// the latest action in time (a lifted sibling popped after the burst
+    /// that lifted it) runs right after that action in the serial engine
+    /// too, so it leaves the history alone.
+    hist: [Act; ORIGIN_DEPTH],
+    hist_head: usize,
+    ran: bool,
     /// Decoded-code range hint (mirrors `Machine::last_code`; the hint
     /// only short-circuits the range search, never changes its result).
     last_code: usize,
-    records: Vec<PopRecord>,
+    wakes: Vec<(Cycles, u32, u64)>,
     d_dispatches: u64,
     d_insts: u64,
     d_activate: [u64; 4],
@@ -286,21 +372,14 @@ struct Worker<'a> {
     sbm_stores: Vec<(u64, u64)>,
 }
 
-fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
+fn run_worker<'a>(sh: &'a Shared<'a>, input: WorkerInput<'a>) -> Result<WorkerOk, Bail> {
     let mut q = LocalQueue::default();
     for &(at, idx, slot) in &input.staged {
         q.push(at, idx, slot);
     }
-    // This core's fresh-event horizon (see `Shared::gap`). Staged
-    // events still consume up to `B`: they are real pre-epoch events
-    // and skipping one while running a later one would reorder the
-    // core's serial stream.
-    let fresh_b =
-        Cycles(sh.b.0.saturating_sub(sh.gap * input.core as u64)).max(sh.now0 + Cycles(1));
     let mut w = Worker {
         sh,
         core: input.core,
-        fresh_b,
         cs: input.cs,
         threads: input.threads,
         caches: input.caches,
@@ -310,9 +389,12 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
         q,
         stash: Vec::new(),
         local_now: sh.now0,
-        created: 0,
+        created_at: Vec::new(),
+        hist: [Act::Unknown; ORIGIN_DEPTH],
+        hist_head: 0,
+        ran: false,
         last_code: 0,
-        records: Vec::new(),
+        wakes: Vec::new(),
         d_dispatches: 0,
         d_insts: 0,
         d_activate: [0; 4],
@@ -324,54 +406,41 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
         sbm_stores: Vec::new(),
     };
     while let Some((ts, key, slot)) = w.q.pop_below(sh.b) {
-        if key >= sh.staged_total && ts >= fresh_b {
-            // The core's window ends here: the event survives to the
-            // next epoch, exactly as if it were due at or past `B`.
-            w.q.push(ts, key, slot);
-            break;
-        }
-        if ts > w.local_now {
+        if ts > w.local_now || (ts == w.local_now && !w.ran) {
+            // A pop on time follows the action that created the event;
+            // that is only known for an event created in this epoch.
+            w.hist = [Act::Unknown; ORIGIN_DEPTH];
+            if key >= sh.staged_total {
+                w.act(Act::Event((key - sh.staged_total) as usize));
+            }
+            w.act(Act::At(ts));
+            w.ran = false;
             w.local_now = ts;
         }
-        let created_before = w.created;
-        let wake = w.dispatch(slot)?;
-        let pop_key = if key < sh.staged_total {
-            PopKey::Staged(key)
-        } else {
-            PopKey::Fresh(key - sh.staged_total)
-        };
-        w.records.push(PopRecord {
-            time: ts,
-            key: pop_key,
-            creates: w.created - created_before,
-            now_after: w.local_now,
-            wake,
-        });
-    }
-    let mut survivors: Vec<(u64, Cycles, u32)> = Vec::new();
-    for (at, key, slot) in w.q.drain_all() {
-        if key < sh.staged_total {
-            // A staged event past a held-back fresh horizon: consuming
-            // it would reorder this core's stream, and a staged event
-            // cannot survive an epoch (its `(time, seq)` identity was
-            // popped from the real queue). Settle the window serially.
-            return Err(Bail);
+        if let Some((p, sample)) = w.dispatch(slot)? {
+            w.wakes.push((ts, p, sample));
         }
-        debug_assert!(at >= fresh_b, "events below the fresh horizon are drained");
-        survivors.push((key - sh.staged_total, at, slot));
     }
-    // Creation order, so commit-side vseq lookup walks monotonically.
-    survivors.sort_unstable_by_key(|&(local, _, _)| local);
+    // Everything below `B` ran, so only fresh events remain.
+    let mut survivors: Vec<(Cycles, u64, u32)> = w.q.drain_all();
+    survivors.sort_unstable_by_key(|&(_, key, _)| key);
+    let survivors = survivors
+        .into_iter()
+        .map(|(at, key, slot)| {
+            debug_assert!(key >= sh.staged_total, "staged events are all below B");
+            (at, w.created_at[(key - sh.staged_total) as usize], slot)
+        })
+        .collect();
     Ok(WorkerOk {
         core: w.core,
-        records: w.records,
+        wakes: w.wakes,
+        now: w.local_now,
         survivors,
         cs: w.cs,
         threads: w.threads,
-        caches: w.caches,
+        writebacks: w.caches.writebacks(),
         tlb: w.tlb,
         prefetch: w.prefetch,
-        domain: w.domain,
         d_dispatches: w.d_dispatches,
         d_insts: w.d_insts,
         d_activate: w.d_activate,
@@ -383,9 +452,59 @@ impl Worker<'_> {
     /// Schedules a fresh own-core `SlotFree`; keys continue after the
     /// staged namespace in creation order.
     fn schedule_local(&mut self, at: Cycles, slot: u32) {
-        let key = self.sh.staged_total + self.created;
-        self.created += 1;
+        let key = self.sh.staged_total + self.created_at.len() as u64;
+        let origin = self.origin();
+        self.created_at.push(origin);
         self.q.push(at, key, slot);
+    }
+
+    fn act(&mut self, a: Act) {
+        self.hist_head = (self.hist_head + 1) % ORIGIN_DEPTH;
+        self.hist[self.hist_head] = a;
+    }
+
+    /// The [`Origin`] of an event created now.
+    fn origin(&self) -> Origin {
+        let mut o = [UNKNOWN; ORIGIN_DEPTH];
+        let mut n = 0;
+        for j in 0..ORIGIN_DEPTH {
+            if n == ORIGIN_DEPTH {
+                break;
+            }
+            match self.hist[(self.hist_head + ORIGIN_DEPTH - j) % ORIGIN_DEPTH] {
+                Act::At(c) => {
+                    o[n] = c;
+                    n += 1;
+                }
+                Act::Block(ri, bi, d_last) => {
+                    // Instruction starts, last to first: L1-hit costs.
+                    let insts = &self.sh.code[ri].blocks[bi].insts;
+                    let l1 = self.sh.cfg.hierarchy.lat_l1;
+                    let mut at = d_last;
+                    for k in (0..insts.len()).rev() {
+                        if n == ORIGIN_DEPTH {
+                            break;
+                        }
+                        o[n] = at;
+                        n += 1;
+                        if k > 0 {
+                            let i = insts[k - 1];
+                            at = at
+                                - Cycles(i.base_cost())
+                                - if i.is_local_mem() { l1 } else { Cycles::ZERO };
+                        }
+                    }
+                }
+                Act::Event(k) => {
+                    let rest = &self.created_at[k];
+                    let take = ORIGIN_DEPTH - n;
+                    o[n..].copy_from_slice(&rest[..take]);
+                    break;
+                }
+                Act::Unknown => break,
+            }
+        }
+        o
     }
 
     fn th_idx(&self, ptid: Ptid) -> usize {
@@ -456,16 +575,15 @@ impl Worker<'_> {
         // First instruction. `pending_charge` stays zero on every path a
         // worker is allowed to take (hcalls bail), so it is not modelled.
         cost += self.exec_inst(ti)?;
+        self.ran = true;
         cost = cost.max(Cycles(1));
         let mut done = now + cost;
 
-        // Burst engine, with the core's fresh-event horizon as an extra
-        // bound: no instruction may *start* at or after it (its pop
-        // would belong to the next window). The serial engine may split
-        // bursts at other points (foreign events, stale deadline
-        // hints); splits are observably invisible, so the placement may
-        // differ — which is also why the per-core stagger of this bound
-        // is free (see `Shared::gap`).
+        // Burst engine, with the epoch horizon as an extra bound: no
+        // instruction may *start* at or after `B` (its pop would belong
+        // to the next window). The serial engine may split bursts at
+        // other points (foreign events, stale deadline hints); splits
+        // are observably invisible, so the placement may differ.
         let mut burst_cost = Cycles::ZERO;
         let mut extra: u64 = 0;
         let mut qmin = self.q.next_deadline();
@@ -475,7 +593,7 @@ impl Worker<'_> {
         let mut seq_pc = u64::MAX;
         'burst: while extra < MAX_BURST
             && done <= self.sh.t
-            && done < self.fresh_b
+            && done < self.sh.b
             && self.burst_eligible(ptid, done)
         {
             while let Some(tq) = qmin {
@@ -496,7 +614,7 @@ impl Worker<'_> {
             // (DESIGN.md §10). Workers only consume blocks the serial
             // engine has already formed (`sb_lookup` is read-only
             // here); the serial exactness argument carries over, with
-            // the fresh-event horizon as the extra bound on the final
+            // the epoch horizon as the extra bound on the final
             // dispatch cursor. Any failed precondition single-steps —
             // never a burst exit.
             if self.sh.sb_on {
@@ -520,7 +638,7 @@ impl Worker<'_> {
                         // As in the serial engine, `extra` may overshoot
                         // `MAX_BURST` by at most one block.
                         let d_last = done + bcost - last_cost;
-                        if d_last <= self.sh.t && d_last < self.fresh_b {
+                        if d_last <= self.sh.t && d_last < self.sh.b {
                             let mut clear = true;
                             while let Some(tq) = qmin {
                                 if tq > d_last {
@@ -535,6 +653,8 @@ impl Worker<'_> {
                                 qmin = self.q.next_deadline();
                             }
                             if clear && self.exec_superblock(ri, bi as usize, ti) {
+                                self.act(Act::Block(ri, bi as usize, d_last));
+                                self.ran = true;
                                 self.local_now = d_last;
                                 done += bcost;
                                 burst_cost += bcost;
@@ -546,6 +666,8 @@ impl Worker<'_> {
                     }
                 }
             }
+            self.act(Act::At(done));
+            self.ran = true;
             self.local_now = done;
             let c = self.exec_inst(ti)?.max(Cycles(1));
             done += c;
@@ -724,12 +846,7 @@ impl Worker<'_> {
             ($v:expr, $addr:expr, $len:expr) => {{
                 let addr: u64 = $addr;
                 let end = addr + $len;
-                let own_off = match &self.domain {
-                    Some((base, bytes)) if addr >= *base && end <= base + bytes.len() as u64 => {
-                        Some((addr - base) as usize)
-                    }
-                    _ => None,
-                };
+                let own_off = self.domain.as_ref().and_then(|d| d.offset(addr, $len));
                 match (data_access!(addr, $len, true), own_off) {
                     (true, Some(off)) => {
                         if !self.sbm_stores.contains(&(addr, $len)) {
@@ -752,16 +869,16 @@ impl Worker<'_> {
                         }
                         if ok {
                             n_stores += 1;
-                            let bytes = &mut self.domain.as_mut().expect("own offset").1;
+                            let dom = self.domain.as_mut().expect("own offset");
                             if $len == 8 {
                                 let old = u64::from_le_bytes(
-                                    bytes[off..off + 8].try_into().expect("8 bytes"),
+                                    dom.bytes[off..off + 8].try_into().expect("8 bytes"),
                                 );
                                 self.sbm_undo.push((addr, old, 8));
-                                bytes[off..off + 8].copy_from_slice(&($v).to_le_bytes());
+                                dom.write(off, &($v).to_le_bytes());
                             } else {
-                                self.sbm_undo.push((addr, u64::from(bytes[off]), 1));
-                                bytes[off] = (($v) & 0xff) as u8;
+                                self.sbm_undo.push((addr, u64::from(dom.bytes[off]), 1));
+                                dom.write(off, &[(($v) & 0xff) as u8]);
                             }
                         }
                     }
@@ -833,14 +950,13 @@ impl Worker<'_> {
                 .caches
                 .l1_access_run_mixed(&self.sbm_lines, n_insts + mem_ops)
         {
-            let bytes = self.domain.as_mut().map(|(base, bytes)| (*base, bytes));
-            if let Some((base, bytes)) = bytes {
+            if let Some(dom) = self.domain.as_mut() {
                 for &(addr, old, len) in self.sbm_undo.iter().rev() {
-                    let off = (addr - base) as usize;
+                    let off = (addr - dom.base) as usize;
                     if len == 8 {
-                        bytes[off..off + 8].copy_from_slice(&old.to_le_bytes());
+                        dom.bytes[off..off + 8].copy_from_slice(&old.to_le_bytes());
                     } else {
-                        bytes[off] = old as u8;
+                        dom.bytes[off] = old as u8;
                     }
                 }
             }
@@ -865,10 +981,8 @@ impl Worker<'_> {
     /// registered domain that is not full containment in our own).
     fn locate(&self, addr: u64, len: u64) -> Result<Loc, Bail> {
         let end = addr + len;
-        if let Some((base, bytes)) = &self.domain {
-            if addr >= *base && end <= base + bytes.len() as u64 {
-                return Ok(Loc::Own((addr - base) as usize));
-            }
+        if let Some(off) = self.domain.as_ref().and_then(|d| d.offset(addr, len)) {
+            return Ok(Loc::Own(off));
         }
         for (b, l) in self.sh.domains.iter().flatten() {
             if addr < b + l && *b < end {
@@ -885,10 +999,16 @@ impl Worker<'_> {
                     .domain
                     .as_ref()
                     .expect("own location implies a domain")
-                    .1;
+                    .bytes;
                 Ok(&bytes[off..off + len as usize])
             }
-            Loc::Shared => Ok(&self.sh.mem[addr as usize..(addr + len) as usize]),
+            Loc::Shared => {
+                // Outside every domain, so inside exactly one gap.
+                let gaps = &self.sh.gaps;
+                let (base, bytes) = gaps[gaps.partition_point(|g| g.0 <= addr) - 1];
+                let off = (addr - base) as usize;
+                Ok(&bytes[off..off + len as usize])
+            }
         }
     }
 
@@ -906,12 +1026,10 @@ impl Worker<'_> {
     fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), Bail> {
         match self.locate(addr, data.len() as u64)? {
             Loc::Own(off) => {
-                let bytes = &mut self
-                    .domain
+                self.domain
                     .as_mut()
                     .expect("own location implies a domain")
-                    .1;
-                bytes[off..off + data.len()].copy_from_slice(data);
+                    .write(off, data);
                 Ok(())
             }
             Loc::Shared => Err(Bail),
@@ -1141,14 +1259,18 @@ impl Machine {
     /// The sharded run loop: epochs where the event stream allows them,
     /// serial replay (via [`Machine::step_one`]) where it does not.
     pub(crate) fn run_until_sharded(&mut self, t: Cycles) {
-        if self.cfg.cores < 2 {
-            return self.run_until_serial(t);
-        }
         // Events strictly below the floor replay serially (a bailed or
         // too-thin window is settled the reference way before retrying).
         let mut serial_floor = Cycles::ZERO;
         // Consecutive commit-time tie retries from the same head.
         let mut tie_streak = 0u32;
+        // Serial span replayed after a bail: doubles while epochs keep
+        // bailing (a cold pass over an L2-sized region bails on every
+        // L3-bound access), so a bail-bound stretch costs a bounded
+        // share of wasted epochs; the first commit resets it.
+        let mut replay = MIN_EPOCH;
+        // Horizon override for a tie retry.
+        let mut limit: Option<Cycles> = None;
         while self.halted.is_none() {
             let Some(head) = self.events.peek_time() else {
                 break;
@@ -1157,29 +1279,28 @@ impl Machine {
                 break;
             }
             if head >= serial_floor {
-                match self.try_epoch(t) {
+                match self.try_epoch(t, limit.take()) {
                     EpochOutcome::Committed => {
                         self.epoch_len = Cycles((self.epoch_len.0 * 2).min(MAX_EPOCH));
                         tie_streak = 0;
+                        replay = MIN_EPOCH;
                         continue;
                     }
-                    EpochOutcome::Bailed(b) => {
-                        self.epoch_len = Cycles((self.epoch_len.0 / 2).max(MIN_EPOCH));
-                        tie_streak = 0;
-                        serial_floor = b.max(Cycles(head.0 + 1));
-                    }
-                    EpochOutcome::Tie(b) => {
-                        self.epoch_len = Cycles((self.epoch_len.0 / 2).max(MIN_EPOCH));
+                    EpochOutcome::Tie(at) if tie_streak < 2 && at > head => {
+                        // The interior was clean; a window ending before
+                        // the tied instructions start moves the survivor
+                        // times — retry in place.
                         tie_streak += 1;
-                        if tie_streak < 3 {
-                            // The interior was clean; a shorter window
-                            // moves the survivor times — retry in place.
-                            continue;
-                        }
-                        // Phase-locked cores tie at every horizon: make
-                        // progress the reference way.
+                        limit = Some(at);
+                        continue;
+                    }
+                    // A bail, or a tie streak (phase-locked cores tie at
+                    // every horizon): make progress the reference way.
+                    EpochOutcome::Bailed | EpochOutcome::Tie(_) => {
+                        self.epoch_len = Cycles((self.epoch_len.0 / 2).max(MIN_EPOCH));
                         tie_streak = 0;
-                        serial_floor = b.max(Cycles(head.0 + 1));
+                        serial_floor = head + Cycles(replay);
+                        replay = (replay * 2).min(MAX_EPOCH);
                     }
                     EpochOutcome::TooFew(b) => {
                         tie_streak = 0;
@@ -1203,14 +1324,14 @@ impl Machine {
         }
     }
 
-    /// Attempts one parallel epoch over the window `[head, B)`.
+    /// Attempts one epoch over the window `[head, B)`.
     #[allow(clippy::too_many_lines)]
-    fn try_epoch(&mut self, t: Cycles) -> EpochOutcome {
+    fn try_epoch(&mut self, t: Cycles, limit: Option<Cycles>) -> EpochOutcome {
         let head = self.events.peek_time().expect("caller checked the head");
         // The dispatch horizon is `t`, so events can exist at `t + 1`
         // (burst-end SlotFrees); the window never reaches past them.
         let cap = if t.0 == u64::MAX { t } else { Cycles(t.0 + 1) };
-        let mut b = (head + self.epoch_len).min(cap);
+        let mut b = (head + self.epoch_len).min(cap).min(limit.unwrap_or(cap));
 
         // Stage every SlotFree strictly below B. A callback event
         // truncates the window to its due time: callbacks run arbitrary
@@ -1237,13 +1358,6 @@ impl Machine {
             staged.push((at, tok, ev));
         }
 
-        let restore_staged =
-            |m: &mut Machine, staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)>| {
-                for (at, tok, ev) in staged.into_iter().rev() {
-                    m.events.restore(at, tok, ev);
-                }
-            };
-
         // Group by core; staging index is the event's virtual seq.
         let mut per_core: BTreeMap<u32, Vec<(Cycles, u64, u32)>> = BTreeMap::new();
         for (i, &(at, _, ev)) in staged.iter().enumerate() {
@@ -1253,13 +1367,14 @@ impl Machine {
             per_core.entry(core).or_default().push((at, i as u64, slot));
         }
         if per_core.len() < 2 {
-            restore_staged(self, staged);
+            self.restore_staged(staged);
             self.shard_stats.too_few += 1;
             return EpochOutcome::TooFew(b);
         }
+        let cores: Vec<usize> = per_core.keys().map(|&c| c as usize).collect();
 
-        let staged_total = staged.len() as u64;
-        let inputs: Vec<WorkerInput> = per_core
+        // Small per-core state is cloned.
+        let small: Vec<_> = per_core
             .into_iter()
             .map(|(core, evs)| {
                 let c = core as usize;
@@ -1272,34 +1387,61 @@ impl Machine {
                 let prefetch = self
                     .prefetcher
                     .core_view(tids.iter().map(|&i| WatchId(u64::from(i))));
-                let domain = self.core_domains[c].map(|(base, len)| {
-                    (
-                        base,
-                        self.mem[base as usize..(base + len) as usize].to_vec(),
-                    )
-                });
-                WorkerInput {
-                    core: c,
-                    staged: evs,
-                    cs: self.cores[c].clone(),
+                (
+                    c,
+                    evs,
+                    self.cores[c].clone(),
                     threads,
-                    caches: self.hier.core_view(c),
-                    tlb: self.tlbs[c].clone(),
+                    self.tlbs[c].clone(),
                     prefetch,
-                    domain,
-                }
+                )
             })
             .collect();
 
-        let jobs = self.machine_jobs.min(inputs.len());
+        let staged_total = staged.len() as u64;
+        let jobs = self.machine_jobs.min(cores.len());
         let results = {
+            // Split memory into the registered domains (each lent to its
+            // core's worker, if it has one) and the frozen gaps between
+            // them (shared read-only by every worker).
+            let mut doms: Vec<(u64, u64, usize)> = self
+                .core_domains
+                .iter()
+                .enumerate()
+                .filter_map(|(c, d)| d.map(|(base, len)| (base, len, c)))
+                .collect();
+            doms.sort_unstable();
+            let mut gaps: Vec<(u64, &[u8])> = Vec::with_capacity(doms.len() + 1);
+            let mut lent: Vec<Option<Domain<'_>>> = (0..self.cfg.cores).map(|_| None).collect();
+            let mut journals: Vec<Option<&mut DomainJournal>> =
+                self.domain_journals.iter_mut().map(Some).collect();
+            let mut rest: &mut [u8] = &mut self.mem;
+            let mut at = 0u64;
+            for (base, len, c) in doms {
+                let (gap, tail) = rest.split_at_mut((base - at) as usize);
+                gaps.push((at, gap));
+                let (bytes, tail) = tail.split_at_mut(len as usize);
+                if cores.binary_search(&c).is_ok() {
+                    let journal = journals[c].take().expect("one domain per core");
+                    journal.begin(bytes.len());
+                    lent[c] = Some(Domain {
+                        base,
+                        bytes,
+                        journal,
+                    });
+                }
+                rest = tail;
+                at = base + len;
+            }
+            gaps.push((at, rest));
+
             let sh = Shared {
                 cfg: self.cfg,
                 now0: self.now,
                 b,
                 t,
                 staged_total,
-                mem: &self.mem,
+                gaps,
                 filter: self.filter.as_ref(),
                 code: &self.code,
                 code_lo: self.code_lo,
@@ -1308,14 +1450,24 @@ impl Machine {
                 // rebuild.
                 mmio_addrs: &self.mmio_addrs,
                 domains: &self.core_domains,
-                // Wide enough to clear any common instruction cost (so
-                // the per-core continuation bands stay disjoint), small
-                // against the window (so the held-back tail is noise);
-                // a tie from an unusually expensive instruction is
-                // still caught at commit and retried.
-                gap: ((b.0 - head.0) / (2 * self.cfg.cores.max(1) as u64)).min(64),
                 sb_on: self.sb_on,
             };
+            let inputs: Vec<WorkerInput<'_>> = small
+                .into_iter()
+                .zip(self.hier.core_views(&cores))
+                .map(
+                    |((core, staged, cs, threads, tlb, prefetch), caches)| WorkerInput {
+                        core,
+                        staged,
+                        cs,
+                        threads,
+                        caches,
+                        tlb,
+                        prefetch,
+                        domain: lent[core].take(),
+                    },
+                )
+                .collect();
             par_map_owned(jobs, inputs, |_, input| run_worker(&sh, input))
         };
 
@@ -1324,88 +1476,74 @@ impl Machine {
             match r {
                 Ok(ok) => oks.push(ok),
                 Err(Bail) => {
-                    restore_staged(self, staged);
+                    self.rollback_epoch(&cores, staged);
                     self.shard_stats.bailed += 1;
-                    return EpochOutcome::Bailed(b);
+                    return EpochOutcome::Bailed;
                 }
             }
         }
 
-        // Cross-core ties the vseq model cannot break faithfully: two
-        // surviving events due the same cycle (their queue-seq order
-        // decides a future pop) or two wake samples the same cycle
-        // (their order decides `last_wake`). Within one core the local
-        // order is serial-faithful; across cores, bail.
-        let cross_core_time_tie = |times: &mut Vec<(Cycles, usize)>| {
-            times.sort_unstable();
-            times
-                .windows(2)
-                .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
-        };
-        let mut surv_times: Vec<(Cycles, usize)> = oks
-            .iter()
-            .enumerate()
-            .flat_map(|(pos, ok)| ok.survivors.iter().map(move |&(_, at, _)| (at, pos)))
-            .collect();
-        let mut wake_times: Vec<(Cycles, usize)> = oks
+        // Equal-time survivors of different cores queue in the order the
+        // serial engine creates them (see `Origin`); within a core that
+        // order is creation order. Two survivors of different cores that
+        // order cannot separate, and two wake samples of different cores
+        // in the same cycle (their order decides `last_wake`), are ties.
+        let mut surv: Vec<(Cycles, Origin, usize, u32)> = oks
             .iter()
             .enumerate()
             .flat_map(|(pos, ok)| {
-                ok.records
+                ok.survivors
                     .iter()
-                    .filter(|r| r.wake.is_some())
-                    .map(move |r| (r.time, pos))
+                    .map(move |&(at, o, slot)| (at, o, pos, slot))
             })
             .collect();
-        if cross_core_time_tie(&mut surv_times) || cross_core_time_tie(&mut wake_times) {
-            restore_staged(self, staged);
+        // Stable: same-core entries keep creation order.
+        surv.sort_by_key(|&(at, o, _, _)| (at, o));
+        let surv_tie = surv
+            .windows(2)
+            .filter(|w| {
+                let (x, y) = (&w[0], &w[1]);
+                // Equal up to the first difference, which must be known.
+                let split = x.1.iter().zip(&y.1).find(|(a, b)| a != b);
+                x.2 != y.2
+                    && x.0 == y.0
+                    && split.is_none_or(|(&a, &b)| a == UNKNOWN || b == UNKNOWN)
+            })
+            .map(|w| w[0].1[0])
+            .min();
+        let mut wakes: Vec<(Cycles, usize, u32, u64)> = oks
+            .iter()
+            .enumerate()
+            .flat_map(|(pos, ok)| ok.wakes.iter().map(move |&(at, p, s)| (at, pos, p, s)))
+            .collect();
+        // Stable: a core's pops are already in time order.
+        wakes.sort_by_key(|w| w.0);
+        let wake_tie = wakes
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+            .map(|w| w[0].0)
+            .min();
+        if let Some(at) = surv_tie.into_iter().chain(wake_tie).min() {
+            self.rollback_epoch(&cores, staged);
             self.shard_stats.ties += 1;
-            return EpochOutcome::Tie(b);
+            return EpochOutcome::Tie(at);
         }
 
         // ---- Commit (all-or-nothing; no bail past this point) ----
         self.shard_stats.committed += 1;
 
-        // Reconstruct the global pop order for cross-record effects.
-        let streams: Vec<Vec<PopRecord>> = oks
-            .iter_mut()
-            .map(|o| std::mem::take(&mut o.records))
-            .collect();
-        let (merged, fresh_seq) = merge_epoch(staged_total, streams);
-        let mut now_max = self.now;
-        for (_, r) in &merged {
-            now_max = now_max.max(r.now_after);
-            if let Some((p, sample)) = r.wake {
-                self.wake_latency.record(sample);
-                self.last_wake = Some((Ptid(p), sample));
-            }
+        for &(_, _, p, sample) in &wakes {
+            self.wake_latency.record(sample);
+            self.last_wake = Some((Ptid(p), sample));
         }
 
-        // Surviving events enter the real queue in global vseq order, so
-        // their relative seqs equal the serial engine's.
-        let mut to_schedule: Vec<(u64, Cycles, u32, u32)> = Vec::new();
-        for (pos, ok) in oks.iter().enumerate() {
-            for &(local, at, slot) in &ok.survivors {
-                to_schedule.push((fresh_seq[pos][local as usize], at, ok.core as u32, slot));
-            }
-        }
-        to_schedule.sort_unstable_by_key(|&(vseq, _, _, _)| vseq);
-        for (_, at, core, slot) in to_schedule {
+        // Every core ran to `B`, so every survivor is due at or after it
+        // and was created below it; none can be passed by `now`.
+        for (at, _, pos, slot) in surv {
+            let core = oks[pos].core as u32;
             self.events.schedule(at, Ev::SlotFree { core, slot });
         }
-
-        // Serial-clock invariant: the serial engine's `now` never passes
-        // a pending event (the burst gate stops first), so every pop
-        // dispatches at its own due time. The max-of-cursors value can
-        // pass one — a core whose fresh horizon was staggered low holds
-        // a survivor *below* another core's final cursor — and an
-        // unclamped `now` would re-base that survivor's dispatch and
-        // drift its thread's whole future. Clamp to the earliest pending
-        // event; a no-op when every survivor is at or past `B`.
-        if let Some(h) = self.events.peek_time() {
-            now_max = now_max.min(h);
-        }
-        self.now = now_max;
+        self.now = oks.iter().map(|o| o.now).fold(self.now, Cycles::max);
 
         // Splice each core's state back and batch the counter deltas.
         let mut quiet = 0u64;
@@ -1414,10 +1552,9 @@ impl Machine {
                 core,
                 threads,
                 cs,
-                caches,
+                writebacks,
                 tlb,
                 prefetch,
-                domain,
                 d_dispatches,
                 d_insts,
                 d_activate,
@@ -1428,13 +1565,9 @@ impl Machine {
                 self.threads[p as usize] = th;
             }
             self.cores[core] = cs;
-            self.hier.commit_core_view(core, caches);
+            self.hier.note_private_writebacks(writebacks);
             self.tlbs[core] = tlb;
             self.prefetcher.absorb(prefetch);
-            if let Some((base, bytes)) = domain {
-                let lo = base as usize;
-                self.mem[lo..lo + bytes.len()].copy_from_slice(&bytes);
-            }
             self.counters.bump(self.hot.sched_dispatches, d_dispatches);
             self.counters.bump(self.hot.inst_executed, d_insts);
             for (i, &n) in d_activate.iter().enumerate() {
@@ -1447,6 +1580,30 @@ impl Machine {
             self.filter.note_quiet_stores(quiet);
         }
         EpochOutcome::Committed
+    }
+
+    /// Puts staged events back under their original keys.
+    fn restore_staged(&mut self, staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)>) {
+        for (at, tok, ev) in staged.into_iter().rev() {
+            self.events.restore(at, tok, ev);
+        }
+    }
+
+    /// Discards an epoch: replays the undo journals of every core that
+    /// ran and restores the staged events.
+    fn rollback_epoch(
+        &mut self,
+        cores: &[usize],
+        staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)>,
+    ) {
+        for &c in cores {
+            self.hier.rollback_core_view(c);
+            if let Some((base, len)) = self.core_domains[c] {
+                let lo = base as usize;
+                self.domain_journals[c].rollback(&mut self.mem[lo..lo + len as usize]);
+            }
+        }
+        self.restore_staged(staged);
     }
 }
 

@@ -65,11 +65,14 @@ fn fingerprint(m: &Machine, tids: &[ThreadId], words: &[u64]) -> String {
 /// Builds a 4-core machine: NIC consumer on core 0, MSI-X parker on
 /// core 1, domain compute loops on cores 2 and 3; NIC RX and MSI-X
 /// completion traffic throughout the run.
-fn build(jobs: usize) -> (Machine, Vec<ThreadId>, Vec<u64>) {
+/// `jobs: None` pins the serial reference engine; `Some(n)` runs the
+/// epoch engine on `n` host threads.
+fn build(jobs: Option<usize>) -> (Machine, Vec<ThreadId>, Vec<u64>) {
     let mut cfg = MachineConfig::small();
     cfg.cores = 4;
     let mut m = Machine::new(cfg);
-    m.set_machine_jobs(jobs);
+    m.set_serial_engine(jobs.is_none());
+    m.set_machine_jobs(jobs.unwrap_or(1));
     let mut tids = Vec::new();
     let mut words = Vec::new();
 
@@ -136,7 +139,7 @@ fn build(jobs: usize) -> (Machine, Vec<ThreadId>, Vec<u64>) {
 #[test]
 fn completion_routing_matches_serial_engine() {
     let t = 120_000;
-    let (mut serial, tids_s, words) = build(1);
+    let (mut serial, tids_s, words) = build(None);
     serial.run_until(Cycles(t));
     let want = fingerprint(&serial, &tids_s, &words);
     assert!(
@@ -145,8 +148,8 @@ fn completion_routing_matches_serial_engine() {
         "fixture must actually deliver completions"
     );
 
-    for jobs in [2, 4] {
-        let (mut par, tids_p, words_p) = build(jobs);
+    for jobs in [1, 2, 4] {
+        let (mut par, tids_p, words_p) = build(Some(jobs));
         par.run_until(Cycles(t));
         let got = fingerprint(&par, &tids_p, &words_p);
         assert_eq!(
@@ -155,7 +158,7 @@ fn completion_routing_matches_serial_engine() {
         );
     }
     // And the engine did real parallel work between completions.
-    let (mut par, _, _) = build(4);
+    let (mut par, _, _) = build(Some(4));
     par.run_until(Cycles(t));
     let st = par.shard_stats();
     assert!(

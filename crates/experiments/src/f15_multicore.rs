@@ -134,14 +134,18 @@ fn measure_migration() -> (u64, u64, u64, u64) {
 /// staggered stride/work mix so the cores' event streams are not
 /// phase-locked. Returns per-core `(iterations, passes, billed cycles)`
 /// plus total executed instructions — all *simulated* quantities, so
-/// they are bit-identical for any `machine_jobs`; only wall-clock time
-/// (reported in the run timing table, never in `results/`) changes.
-fn measure_sharded(machine_jobs: usize, t: u64) -> (Vec<(u64, u64, u64)>, u64) {
+/// they are bit-identical for any `machine_jobs` and either engine
+/// (`pin_serial` selects the serial reference engine); only wall-clock
+/// time (reported in the run timing table, never in `results/`) changes.
+fn measure_sharded(machine_jobs: usize, pin_serial: bool, t: u64) -> (Vec<(u64, u64, u64)>, u64) {
     const CORES: usize = 4;
     let mut cfg = MachineConfig::small();
     cfg.cores = CORES;
     let mut m = Machine::new(cfg);
     m.set_machine_jobs(machine_jobs);
+    if pin_serial {
+        m.set_serial_engine(true);
+    }
     let mut tids = Vec::new();
     for c in 0..CORES {
         let buf = m.alloc(4096);
@@ -247,7 +251,7 @@ pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     );
 
     let horizon = if ctx.quick { 4_000_000 } else { 60_000_000 };
-    let (sharded, insts) = measure_sharded(ctx.machine_jobs, horizon);
+    let (sharded, insts) = measure_sharded(ctx.machine_jobs, false, horizon);
     let mut c = Table::new(
         "F15c: core-sharded engine - simulated results independent of --machine-jobs",
         &["core", "iterations", "passes", "billed cycles", "cy/iter"],
@@ -296,13 +300,15 @@ mod tests {
 
     #[test]
     fn sharded_rows_match_serial_rows() {
-        let (serial, insts_serial) = measure_sharded(1, 400_000);
-        let (sharded, insts_sharded) = measure_sharded(4, 400_000);
-        assert_eq!(
-            serial, sharded,
-            "F15c rows must not depend on --machine-jobs"
-        );
-        assert_eq!(insts_serial, insts_sharded);
+        let (serial, insts_serial) = measure_sharded(1, true, 400_000);
+        for jobs in [1, 4] {
+            let (sharded, insts_sharded) = measure_sharded(jobs, false, 400_000);
+            assert_eq!(
+                serial, sharded,
+                "F15c rows must not depend on the engine or --machine-jobs"
+            );
+            assert_eq!(insts_serial, insts_sharded);
+        }
         assert!(serial
             .iter()
             .all(|&(iters, _, billed)| iters > 0 && billed > 0));

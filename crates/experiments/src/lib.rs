@@ -5,7 +5,7 @@
 //! ```text
 //! experiments all [--quick] [--jobs N] [--out DIR]   # run everything
 //! experiments f1 f7 [--quick]                        # run selected experiments
-//! experiments f15 --machine-jobs 4                   # core-sharded machine engine
+//! experiments f15 --machine-jobs 4                   # epoch engine on 4 host threads
 //! experiments list                                   # list experiment ids
 //! experiments --soak 100 [--soak-seed S] [--quick]   # chaos soak, invariants on
 //! experiments --replay storm.txt                     # re-execute a chaos artifact
@@ -24,14 +24,16 @@
 //! timing table is appended to the run log so speedups are measured, not
 //! asserted; it is deliberately never written to `results/`.
 //!
-//! `--machine-jobs N` additionally runs each *single simulated machine*
-//! on the core-sharded epoch engine (`switchless_core::shard`) with up
-//! to `N` workers, one per simulated core. The engine is conservative:
-//! every epoch either commits bit-identically to the serial engine or is
-//! discarded and replayed serially, so simulated results — and therefore
-//! the CSV tree — are bit-identical for every `--machine-jobs` value;
+//! Every multi-core simulated machine runs on the core-sharded epoch
+//! engine (`switchless_core::shard`); `--machine-jobs N` lets it use up
+//! to `N` host threads, one per simulated core (default 1: epochs run
+//! inline). `SWITCHLESS_ENGINE=serial` pins the serial reference engine
+//! instead. The epoch engine is conservative: every epoch either commits
+//! bit-identically to the serial engine or is discarded and replayed
+//! serially, so simulated results — and therefore the CSV tree — are
+//! bit-identical for either engine and every `--machine-jobs` value;
 //! only wall-clock time changes. Experiments that run with the invariant
-//! checker enabled (F17) fall back to the serial engine automatically.
+//! checker enabled (F17) use the serial engine automatically.
 
 use std::path::PathBuf;
 
@@ -68,8 +70,7 @@ pub struct RunCtx {
     pub jobs: usize,
     /// Worker-thread budget for the core-sharded machine engine (one
     /// worker per simulated core, see [`switchless_core::shard`]).
-    /// Results are bit-identical for any value; 1 means the serial
-    /// engine.
+    /// Results are bit-identical for any value; 1 runs epochs inline.
     pub machine_jobs: usize,
 }
 
@@ -198,8 +199,8 @@ pub struct Cli {
     pub quick: bool,
     /// Explicit `--jobs N`; `None` defers to `SWITCHLESS_JOBS`/host.
     pub jobs: Option<usize>,
-    /// Explicit `--machine-jobs N` for the core-sharded machine engine;
-    /// `None` means 1 (serial engine).
+    /// Explicit `--machine-jobs N`: host threads for the epoch engine;
+    /// `None` means 1 (epochs run inline).
     pub machine_jobs: Option<usize>,
     /// Explicit `--out DIR` for the CSV tree; `None` means `results/`.
     pub out: Option<PathBuf>,

@@ -362,9 +362,177 @@ impl Cache {
     }
 }
 
+/// First-touch undo journal for speculative runs against a [`Cache`]
+/// (the epoch engine's private levels, DESIGN.md §9).
+///
+/// [`CacheJournal::begin`] records the cache's counters; every set is
+/// copied the first time a [`JournaledCache`] touches it after that, and
+/// [`CacheJournal::rollback`] restores exactly those sets. A speculative
+/// run therefore costs O(sets touched), not O(cache size), and a
+/// committed one costs nothing: the cache was mutated in place.
+#[derive(Clone, Debug, Default)]
+pub struct CacheJournal {
+    /// Per-set generation: a set is saved when its entry differs from
+    /// `gen` (bumped by every `begin`, so nothing needs clearing).
+    set_gen: Vec<u32>,
+    gen: u32,
+    /// Saved set indices, in touch order, and their ways, concatenated.
+    sets: Vec<u32>,
+    ways: Vec<Way>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    /// Partition occupancy before the first fill, if any fill happened.
+    occupancy: Option<FxHashMap<PartitionId, u64>>,
+}
+
+impl CacheJournal {
+    /// Starts a new speculative run against `cache`.
+    pub fn begin(&mut self, cache: &Cache) {
+        if self.set_gen.len() != cache.sets as usize {
+            self.set_gen = vec![0; cache.sets as usize];
+            self.gen = 0;
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.set_gen.fill(0);
+            self.gen = 1;
+        }
+        self.sets.clear();
+        self.ways.clear();
+        self.tick = cache.tick;
+        self.hits = cache.hits;
+        self.misses = cache.misses;
+        self.occupancy = None;
+    }
+
+    #[inline]
+    fn save(&mut self, cache: &Cache, addr: PAddr) {
+        let set = ((addr.0 / LINE_BYTES) & (cache.sets - 1)) as usize;
+        if self.set_gen[set] != self.gen {
+            self.set_gen[set] = self.gen;
+            self.sets.push(set as u32);
+            let w = cache.geom.ways as usize;
+            self.ways
+                .extend_from_slice(&cache.ways[set * w..(set + 1) * w]);
+        }
+    }
+
+    /// Puts `cache` back exactly as it was at [`CacheJournal::begin`].
+    pub fn rollback(&mut self, cache: &mut Cache) {
+        let w = cache.geom.ways as usize;
+        for (i, &set) in self.sets.iter().enumerate() {
+            let set = set as usize;
+            cache.ways[set * w..(set + 1) * w].copy_from_slice(&self.ways[i * w..(i + 1) * w]);
+        }
+        cache.tick = self.tick;
+        cache.hits = self.hits;
+        cache.misses = self.misses;
+        if let Some(occ) = self.occupancy.take() {
+            cache.occupancy = occ;
+        }
+        self.sets.clear();
+        self.ways.clear();
+    }
+}
+
+/// A [`Cache`] borrowed for a speculative run: every mutating operation
+/// first saves what it may change into the [`CacheJournal`], then
+/// behaves exactly like the plain [`Cache`] method.
+#[derive(Debug)]
+pub struct JournaledCache<'a> {
+    cache: &'a mut Cache,
+    journal: &'a mut CacheJournal,
+}
+
+impl<'a> JournaledCache<'a> {
+    /// Starts a speculative run against `cache` (see
+    /// [`CacheJournal::begin`]).
+    pub fn begin(cache: &'a mut Cache, journal: &'a mut CacheJournal) -> JournaledCache<'a> {
+        journal.begin(cache);
+        JournaledCache { cache, journal }
+    }
+
+    /// [`Cache::access`], journaled.
+    pub fn access(&mut self, addr: PAddr, write: bool) -> bool {
+        self.journal.save(self.cache, addr);
+        self.cache.access(addr, write)
+    }
+
+    /// [`Cache::fill`], journaled.
+    pub fn fill(&mut self, addr: PAddr, part: PartitionId, write: bool) -> Option<Writeback> {
+        self.journal.save(self.cache, addr);
+        if self.journal.occupancy.is_none() {
+            self.journal.occupancy = Some(self.cache.occupancy.clone());
+        }
+        self.cache.fill(addr, part, write)
+    }
+
+    /// [`Cache::contains`] (read-only, nothing to journal).
+    #[must_use]
+    pub fn contains(&self, addr: PAddr) -> bool {
+        self.cache.contains(addr)
+    }
+
+    /// [`Cache::access_run`], journaled.
+    pub fn access_run(&mut self, lines: &[(PAddr, u64)], n: u64) -> bool {
+        for &(a, _) in lines {
+            self.journal.save(self.cache, a);
+        }
+        self.cache.access_run(lines, n)
+    }
+
+    /// [`Cache::access_run_mixed`], journaled.
+    pub fn access_run_mixed(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
+        for &(a, _, _) in lines {
+            self.journal.save(self.cache, a);
+        }
+        self.cache.access_run_mixed(lines, n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn journal_rollback_restores_touched_sets_and_counters() {
+        let mut c = tiny();
+        c.fill(addr(0, 1), PartitionId::DEFAULT, false);
+        c.fill(addr(1, 1), PartitionId::DEFAULT, true);
+        let before = c.clone();
+        let mut j = CacheJournal::default();
+        {
+            let mut jc = JournaledCache::begin(&mut c, &mut j);
+            assert!(jc.access(addr(0, 1), true));
+            assert!(!jc.access(addr(2, 3), false));
+            assert_eq!(jc.fill(addr(1, 2), PartitionId(7), false), None);
+            assert!(jc.fill(addr(1, 3), PartitionId(7), false).is_some());
+            assert!(jc.access_run(&[(addr(0, 1), 1)], 1));
+        }
+        j.rollback(&mut c);
+        assert_eq!(
+            c.ways
+                .iter()
+                .map(|w| (w.tag, w.valid, w.dirty, w.stamp))
+                .collect::<Vec<_>>(),
+            before
+                .ways
+                .iter()
+                .map(|w| (w.tag, w.valid, w.dirty, w.stamp))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!((c.tick, c.hit_miss()), (before.tick, before.hit_miss()));
+        assert_eq!(c.occupancy(PartitionId(7)), 0);
+        assert_eq!(c.occupancy(PartitionId::DEFAULT), 2);
+        // A second run saves afresh (new generation).
+        {
+            let mut jc = JournaledCache::begin(&mut c, &mut j);
+            assert!(jc.access(addr(1, 1), false));
+        }
+        j.rollback(&mut c);
+        assert_eq!((c.tick, c.hit_miss()), (before.tick, before.hit_miss()));
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B = 512B.

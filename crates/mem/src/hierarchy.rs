@@ -8,7 +8,7 @@
 use switchless_sim::time::Cycles;
 
 use crate::addr::PAddr;
-use crate::cache::{Cache, CacheGeom, PartitionId};
+use crate::cache::{Cache, CacheGeom, CacheJournal, JournaledCache, PartitionId};
 use crate::dram::{Dram, DramConfig};
 
 /// Which level served an access.
@@ -109,27 +109,29 @@ impl HierarchyConfig {
     }
 }
 
-/// A detached copy of one core's private cache levels (L1 + L2), used by
-/// the shard engine's epoch workers.
+/// One core's private cache levels (L1 + L2), borrowed by an epoch
+/// worker of the shard engine.
 ///
 /// In the serial engine, only instructions executing on core `c` touch
 /// `l1[c]`/`l2[c]` (cross-core effects like DMA invalidates go through
-/// the machine and end the epoch), so a worker may run against a clone
-/// and the owner can splice it back verbatim at the epoch barrier —
-/// LRU stamps, dirty bits, and hit/miss counts land exactly as if the
-/// accesses had run serially. Accesses that would escalate to the shared
-/// L3 return `None`; the worker abandons the epoch instead.
-#[derive(Clone, Debug)]
-pub struct CoreCaches {
-    l1: Cache,
-    l2: Cache,
+/// the machine and end the epoch), so a worker may mutate them in place
+/// while other workers hold the other cores' levels — LRU stamps, dirty
+/// bits, and hit/miss counts land exactly as if the accesses had run
+/// serially. Every change is journaled first, so a discarded epoch is
+/// undone with [`Hierarchy::rollback_core_view`] at the cost of what it
+/// touched. Accesses that would escalate to the shared L3 return
+/// `None`; the worker abandons the epoch instead.
+#[derive(Debug)]
+pub struct CoreCaches<'a> {
+    l1: JournaledCache<'a>,
+    l2: JournaledCache<'a>,
     lat_l1: Cycles,
     lat_l2: Cycles,
     wb_l1: u64,
     wb_l2: u64,
 }
 
-impl CoreCaches {
+impl CoreCaches<'_> {
     /// Serves one access from the private levels alone, mirroring the
     /// L1/L2 prefix of [`Hierarchy::access`] exactly. `None` means the
     /// line is in neither level and the access needs the shared L3.
@@ -156,6 +158,14 @@ impl CoreCaches {
             });
         }
         None
+    }
+
+    /// Dirty lines this view evicted so far, per level `(l1, l2)`; the
+    /// owner folds them in with [`Hierarchy::note_private_writebacks`]
+    /// when the epoch commits.
+    #[must_use]
+    pub fn writebacks(&self) -> (u64, u64) {
+        (self.wb_l1, self.wb_l2)
     }
 
     /// Whether the view's L1 holds the line (no LRU/statistics effect).
@@ -190,6 +200,8 @@ pub struct Hierarchy {
     dram: Dram,
     /// Dirty lines written back on eviction, per level (l1, l2, l3).
     writebacks: (u64, u64, u64),
+    /// Per-core undo journals `[l1, l2]` for [`Hierarchy::core_views`].
+    journals: Vec<[CacheJournal; 2]>,
 }
 
 impl Hierarchy {
@@ -208,6 +220,7 @@ impl Hierarchy {
             l3: Cache::new(config.l3),
             dram: Dram::new(config.dram),
             writebacks: (0, 0, 0),
+            journals: (0..cores).map(|_| Default::default()).collect(),
         }
     }
 
@@ -280,35 +293,60 @@ impl Hierarchy {
         }
     }
 
-    /// Clones `core`'s private levels into a [`CoreCaches`] view an epoch
-    /// worker can mutate off-thread.
+    /// Lends the private levels of each of `cores` (strictly ascending)
+    /// to an epoch worker, starting a fresh undo journal for each.
     ///
     /// # Panics
     ///
-    /// Panics if `core` is out of range.
-    #[must_use]
-    pub fn core_view(&self, core: usize) -> CoreCaches {
-        CoreCaches {
-            l1: self.l1[core].clone(),
-            l2: self.l2[core].clone(),
-            lat_l1: self.config.lat_l1,
-            lat_l2: self.config.lat_l2,
-            wb_l1: 0,
-            wb_l2: 0,
+    /// Panics if `cores` is not strictly ascending or names a core out of
+    /// range.
+    pub fn core_views(&mut self, cores: &[usize]) -> Vec<CoreCaches<'_>> {
+        assert!(cores.windows(2).all(|w| w[0] < w[1]), "cores must ascend");
+        assert!(
+            cores.last().is_none_or(|&c| c < self.l1.len()),
+            "core out of range"
+        );
+        let (lat_l1, lat_l2) = (self.config.lat_l1, self.config.lat_l2);
+        let mut want = cores.iter().peekable();
+        let mut views = Vec::with_capacity(cores.len());
+        for (c, ((l1, l2), [j1, j2])) in self
+            .l1
+            .iter_mut()
+            .zip(self.l2.iter_mut())
+            .zip(self.journals.iter_mut())
+            .enumerate()
+        {
+            if want.next_if_eq(&&c).is_some() {
+                views.push(CoreCaches {
+                    l1: JournaledCache::begin(l1, j1),
+                    l2: JournaledCache::begin(l2, j2),
+                    lat_l1,
+                    lat_l2,
+                    wb_l1: 0,
+                    wb_l2: 0,
+                });
+            }
         }
+        views
     }
 
-    /// Splices a worker's [`CoreCaches`] view back as `core`'s private
-    /// levels and folds its write-back deltas into the machine totals.
+    /// Undoes everything the last [`Hierarchy::core_views`] borrow of
+    /// `core`'s private levels changed.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn commit_core_view(&mut self, core: usize, view: CoreCaches) {
-        self.l1[core] = view.l1;
-        self.l2[core] = view.l2;
-        self.writebacks.0 += view.wb_l1;
-        self.writebacks.1 += view.wb_l2;
+    pub fn rollback_core_view(&mut self, core: usize) {
+        let [j1, j2] = &mut self.journals[core];
+        j1.rollback(&mut self.l1[core]);
+        j2.rollback(&mut self.l2[core]);
+    }
+
+    /// Folds the write-backs of a committed [`CoreCaches`] view into the
+    /// machine totals (see [`CoreCaches::writebacks`]).
+    pub fn note_private_writebacks(&mut self, (l1, l2): (u64, u64)) {
+        self.writebacks.0 += l1;
+        self.writebacks.1 += l2;
     }
 
     /// Dirty lines written back on eviction, per level `(l1, l2, l3)`.
@@ -410,6 +448,52 @@ mod tests {
 
     fn h() -> Hierarchy {
         Hierarchy::new(2, HierarchyConfig::tiny())
+    }
+
+    #[test]
+    fn core_view_rollback_restores_only_the_lent_core() {
+        let mut m = h();
+        for i in 0..8 {
+            m.access(
+                Cycles(0),
+                0,
+                PAddr(i * 64),
+                AccessKind::Read,
+                PartitionId::DEFAULT,
+            );
+            m.access(
+                Cycles(0),
+                1,
+                PAddr(i * 64),
+                AccessKind::Read,
+                PartitionId::DEFAULT,
+            );
+        }
+        let probe = |m: &Hierarchy| {
+            (0..16)
+                .map(|i| {
+                    (
+                        m.l1_contains(0, PAddr(i * 64)),
+                        m.l1_contains(1, PAddr(i * 64)),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let (before, stats) = (probe(&m), m.level_stats());
+        {
+            let mut views = m.core_views(&[0, 1]);
+            for v in &mut views {
+                for i in 0..16 {
+                    let _ = v.try_access(PAddr(i * 64), AccessKind::Write, PartitionId::DEFAULT);
+                }
+            }
+        }
+        m.rollback_core_view(0);
+        m.rollback_core_view(1);
+        assert_eq!((probe(&m), m.level_stats()), (before, stats));
+        // A committed view keeps its effects.
+        m.core_views(&[1])[0].try_access(PAddr(0), AccessKind::Write, PartitionId::DEFAULT);
+        assert_ne!(m.level_stats(), stats);
     }
 
     #[test]

@@ -16,11 +16,13 @@
 #   jobs     parallel-determinism check: the full --quick suite at
 #            --jobs 1 and --jobs 4 must write bit-identical results/
 #            trees (the harness's core invariant)
-#   mjobs    engine-determinism check: the suite at --machine-jobs 1
-#            (serial engine) and --machine-jobs 4 (core-sharded epoch
-#            engine) must write bit-identical results/ trees, both for
-#            the full suite and for --quick --jobs 4 (the sharded
-#            engine may only change wall-clock time, never results)
+#   engine   engine-determinism check: the suite on the serial
+#            reference engine (SWITCHLESS_ENGINE=serial) and on the
+#            default core-sharded epoch engine must write bit-identical
+#            results/ trees, both for the full suite and for --quick
+#            --jobs 4; one --quick run with --machine-jobs 2 keeps
+#            host-threaded epochs diffed too (the epoch engine may only
+#            change wall-clock time, never results)
 #   sblocks  superblock-determinism check: the suite with the
 #            superblock engine disabled (SWITCHLESS_SUPERBLOCKS=0) must
 #            write results/ trees bit-identical to the default-on runs
@@ -108,33 +110,40 @@ if [ "$s1" != "$s4" ]; then
 fi
 echo "parallel determinism: identical results/ trees and logs"
 
-step "engine determinism (--machine-jobs 1 vs --machine-jobs 4, --quick)"
-mq1=target/ci-results-mj1-quick
-mq4=target/ci-results-mj4-quick
-rm -rf "$mq1" "$mq4"
-mlog1="$(cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --machine-jobs 1 --out "$mq1")"
-mlog4="$(cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --machine-jobs 4 --out "$mq4")"
-if ! diff -r "$mq1" "$mq4"; then
-    echo "FAIL: results/ trees differ between --machine-jobs 1 and --machine-jobs 4 (--quick)" >&2
-    exit 1
-fi
-m1="$(printf '%s\n' "$mlog1" | strip_volatile | sed "s|$mq1|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
-m4="$(printf '%s\n' "$mlog4" | strip_volatile | sed "s|$mq4|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
-if [ "$m1" != "$m4" ]; then
-    echo "FAIL: run logs differ between --machine-jobs 1 and --machine-jobs 4 (--quick)" >&2
-    diff <(printf '%s\n' "$m1") <(printf '%s\n' "$m4") >&2 || true
-    exit 1
-fi
+step "engine determinism (SWITCHLESS_ENGINE=serial vs default vs --machine-jobs 2, --quick)"
+mq1=target/ci-results-default-quick
+mqs=target/ci-results-serial-quick
+mq2=target/ci-results-mj2-quick
+rm -rf "$mq1" "$mqs" "$mq2"
+mlog1="$(cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --out "$mq1")"
+mlogs="$(SWITCHLESS_ENGINE=serial cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --out "$mqs")"
+mlog2="$(cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --machine-jobs 2 --out "$mq2")"
+norm() { strip_volatile | sed "s|$1|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g'; }
+m1="$(printf '%s\n' "$mlog1" | norm "$mq1")"
+same_as_default() { # NAME DIR LOG
+    if ! diff -r "$mq1" "$2"; then
+        echo "FAIL: results/ trees differ between the default engine and $1 (--quick)" >&2
+        exit 1
+    fi
+    mo="$(printf '%s\n' "$3" | norm "$2")"
+    if [ "$m1" != "$mo" ]; then
+        echo "FAIL: run logs differ between the default engine and $1 (--quick)" >&2
+        diff <(printf '%s\n' "$m1") <(printf '%s\n' "$mo") >&2 || true
+        exit 1
+    fi
+}
+same_as_default SWITCHLESS_ENGINE=serial "$mqs" "$mlogs"
+same_as_default "--machine-jobs 2" "$mq2" "$mlog2"
 echo "engine determinism (quick): identical results/ trees and logs"
 
-step "engine determinism (--machine-jobs 1 vs --machine-jobs 4, full)"
-mf1=target/ci-results-mj1-full
-mf4=target/ci-results-mj4-full
-rm -rf "$mf1" "$mf4"
-cargo run -q --release -p switchless-experiments -- all --machine-jobs 1 --out "$mf1" >/dev/null
-cargo run -q --release -p switchless-experiments -- all --machine-jobs 4 --out "$mf4" >/dev/null
-if ! diff -r "$mf1" "$mf4"; then
-    echo "FAIL: results/ trees differ between --machine-jobs 1 and --machine-jobs 4 (full)" >&2
+step "engine determinism (SWITCHLESS_ENGINE=serial vs default, full)"
+mf1=target/ci-results-default-full
+mfs=target/ci-results-serial-full
+rm -rf "$mf1" "$mfs"
+cargo run -q --release -p switchless-experiments -- all --out "$mf1" >/dev/null
+SWITCHLESS_ENGINE=serial cargo run -q --release -p switchless-experiments -- all --out "$mfs" >/dev/null
+if ! diff -r "$mf1" "$mfs"; then
+    echo "FAIL: results/ trees differ between the default engine and SWITCHLESS_ENGINE=serial (full)" >&2
     exit 1
 fi
 echo "engine determinism (full): identical results/ trees"
