@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod exception;
+mod exec;
 pub mod machine;
 pub mod perm;
 mod sblock;

@@ -39,9 +39,9 @@
 
 use switchless_isa::arch::{ArchState, Mode, RegSel};
 use switchless_isa::asm::Program;
-use switchless_isa::inst::Inst;
-use switchless_mem::addr::PAddr;
-use switchless_mem::hierarchy::{AccessKind, Hierarchy, HierarchyConfig, HitLevel};
+use switchless_isa::inst::{Inst, Reg};
+use switchless_mem::addr::{PAddr, PAGE_BYTES};
+use switchless_mem::hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig};
 use switchless_mem::monitor::{CamFilter, HashFilter, MonitorFilter, WakeEvent, WatchId};
 use switchless_mem::prefetch::WakePrefetcher;
 use switchless_mem::tlb::{Tlb, TlbConfig};
@@ -55,8 +55,9 @@ use switchless_sim::time::{Cycles, Freq};
 use switchless_sim::trace::TraceRing;
 
 use crate::exception::{Descriptor, ExceptionKind};
+use crate::exec::{self, BlockScratch, Env};
 use crate::perm::{Perms, TdtEntry};
-use crate::sblock::{self, Superblock, SB_DEAD, SB_FORMED, SB_HOT};
+use crate::sblock::Code;
 use crate::sched::{HwScheduler, SchedPolicy};
 use crate::store::{StateStore, StoreConfig, Tier};
 use crate::tdt::TdtCache;
@@ -284,6 +285,39 @@ impl Thread {
         let gprs = u64::from((self.touched & 0xffff).count_ones());
         (16 + gprs * 8).min(self.state_bytes())
     }
+
+    /// Bytes a state transfer moves: the dirty subset under dirty
+    /// tracking, else the whole state.
+    pub(crate) fn transfer_bytes(&self, dirty_tracking: bool) -> u64 {
+        if dirty_tracking {
+            self.dirty_bytes()
+        } else {
+            self.state_bytes()
+        }
+    }
+
+    /// Consumes the wake stamp at the first dispatch after a wake and
+    /// returns the wake-to-execution latency: scheduler queueing
+    /// (`now - wake`) plus the `activation` cost just charged. The sample
+    /// is also added to the per-thread stats.
+    pub(crate) fn take_wake_sample(&mut self, now: Cycles, activation: Cycles) -> Option<u64> {
+        let sample = (now - self.wake_at.take()? + activation).0;
+        let ws = &mut self.wake_stats;
+        ws.0 += 1;
+        ws.1 += sample;
+        ws.2 = ws.2.max(sample);
+        Some(sample)
+    }
+
+    pub(crate) fn gpr(&self, r: Reg) -> u64 {
+        self.arch.gprs[r.0 as usize & 0xf]
+    }
+
+    /// Writes a GPR and marks it dirty.
+    pub(crate) fn set_gpr(&mut self, r: Reg, v: u64) {
+        self.arch.gprs[r.0 as usize & 0xf] = v;
+        self.touched |= 1 << (r.0 & 0xf);
+    }
 }
 
 #[derive(Clone)]
@@ -295,6 +329,50 @@ pub(crate) struct CoreState {
     pub(crate) next_unused: usize,
 }
 
+impl CoreState {
+    /// Dispatch-time activation of thread `t` (`ptid`): pipeline refill,
+    /// plus a state transfer when its state is not RF-resident and was
+    /// not prefetched. Returns the cost and the tier the state came from,
+    /// or `None` when `t` is already active in the register file.
+    pub(crate) fn activate(
+        &mut self,
+        ptid: Ptid,
+        t: &mut Thread,
+        dirty_tracking: bool,
+    ) -> Option<(Cycles, Tier)> {
+        if t.activated && self.store.tier_of(ptid) == Tier::Rf {
+            self.store.touch(ptid);
+            return None;
+        }
+        let (cost, from) = self
+            .store
+            .activate(ptid, t.arch.prio, t.transfer_bytes(dirty_tracking));
+        t.activated = true;
+        t.touched = 0;
+        Some((cost, from))
+    }
+
+    /// Whether a burst may execute one more instruction for thread `t`
+    /// (`ptid`) dispatching at time `done` on this core. True only when
+    /// the single-step machine would provably arrive at the identical
+    /// pick with identical charges: the thread is still runnable here
+    /// with RF-resident, already-activated state (no activation cost to
+    /// charge), not made busy by anything, and it is the **sole**
+    /// enrolled thread (so round-robin rotation is the identity and no
+    /// fairness quantum can be violated). Everything an instruction's side
+    /// effects can touch is re-read here, which makes the bailout
+    /// effect-based — strictly stronger than a syntactic instruction
+    /// blacklist.
+    pub(crate) fn burst_eligible(&self, core: usize, ptid: Ptid, t: &Thread, done: Cycles) -> bool {
+        t.state == ThreadState::Runnable
+            && t.activated
+            && t.home == core
+            && t.busy_until <= done
+            && self.sched.sole_runnable() == Some(ptid)
+            && self.store.tier_of(ptid) == Tier::Rf
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Ev {
     // u32 fields keep the event (and thus every queue entry) small:
@@ -302,6 +380,15 @@ pub(crate) enum Ev {
     // instruction.
     SlotFree { core: u32, slot: u32 },
     Call(u64),
+}
+
+impl Ev {
+    fn slot_free(core: usize, slot: usize) -> Ev {
+        Ev::SlotFree {
+            core: core as u32,
+            slot: slot as u32,
+        }
+    }
 }
 
 /// Upper bound on instructions executed inline per dispatch (the burst
@@ -312,44 +399,25 @@ pub(crate) enum Ev {
 /// the queue.
 pub(crate) const MAX_BURST: u64 = 1024;
 
-/// Process-wide default for the superblock engine (DESIGN.md §10), read
-/// once from the `SWITCHLESS_SUPERBLOCKS` environment variable:
-/// `0`/`off`/`false` disable, anything else (or unset) enables. Like
-/// `MAX_BURST` this is purely a host-side wall-clock knob.
-fn superblocks_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SWITCHLESS_SUPERBLOCKS").as_deref(),
-            Ok("0" | "off" | "false")
+/// Process-wide defaults of the host-side engine knobs, read once from
+/// the environment, as `(superblocks, mem_superblocks, serial_engine)`:
+/// `SWITCHLESS_SUPERBLOCKS` and `SWITCHLESS_MEM_SUPERBLOCKS` disable on
+/// `0`/`off`/`false` and enable on anything else or when unset
+/// (DESIGN.md §10); `SWITCHLESS_ENGINE=serial` pins every machine to the
+/// serial reference loop (DESIGN.md §9). Like `MAX_BURST` these are
+/// wall-clock knobs only: simulated state is bit-identical either way.
+fn env_knobs() -> (bool, bool, bool) {
+    static KNOBS: std::sync::OnceLock<(bool, bool, bool)> = std::sync::OnceLock::new();
+    *KNOBS.get_or_init(|| {
+        let var = |name| std::env::var(name).unwrap_or_default();
+        let on = |name| !matches!(var(name).as_str(), "0" | "off" | "false");
+        let serial = var("SWITCHLESS_ENGINE") == "serial";
+        (
+            on("SWITCHLESS_SUPERBLOCKS"),
+            on("SWITCHLESS_MEM_SUPERBLOCKS"),
+            serial,
         )
     })
-}
-
-/// Process-wide default for memory-inclusive superblock formation
-/// (DESIGN.md §10, "memory-inclusive regions"), read once from
-/// `SWITCHLESS_MEM_SUPERBLOCKS`: `0`/`off`/`false` restrict regions to
-/// the pure-register PR 9 behaviour, anything else (or unset) admits
-/// local-effect loads/stores. Host-side wall-clock knob only; simulated
-/// state is bit-identical either way.
-fn mem_superblocks_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SWITCHLESS_MEM_SUPERBLOCKS").as_deref(),
-            Ok("0" | "off" | "false")
-        )
-    })
-}
-
-/// Process-wide default engine choice (DESIGN.md §9), read once from
-/// `SWITCHLESS_ENGINE`: `serial` pins every machine to the serial
-/// reference loop, anything else (or unset) lets multi-core machines run
-/// on the core-sharded epoch engine. Host-side wall-clock knob only;
-/// simulated state is bit-identical either way.
-fn serial_engine_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| matches!(std::env::var("SWITCHLESS_ENGINE").as_deref(), Ok("serial")))
 }
 
 type HostCall = Box<dyn FnMut(&mut Machine, ThreadId)>;
@@ -359,55 +427,6 @@ type HostEvent = Box<dyn FnOnce(&mut Machine)>;
 /// invariant is violated. Runs at event-queue boundaries when checking is
 /// enabled; must not mutate anything (it sees `&Machine`).
 type InvariantFn = Box<dyn Fn(&Machine) -> Option<String>>;
-
-/// Pre-decoded instructions for one loaded image.
-///
-/// `insts[i]` caches `Inst::decode` of the word at `base + 8*i`; `None`
-/// marks words that do not decode (the slow path re-raises the precise
-/// `BadInstruction` with the actual word). Stores that land inside
-/// `[base, end)` re-decode the covered words, so self-modifying code
-/// observes its writes exactly as it would with a per-fetch decode.
-pub(crate) struct CodeRange {
-    pub(crate) base: u64,
-    pub(crate) end: u64,
-    pub(crate) insts: Vec<Option<Inst>>,
-    /// Per-slot superblock state: a heat count below
-    /// [`sblock::SB_HOT`], [`sblock::SB_FORMED`]`| index` for a formed
-    /// region entered at that slot, or [`sblock::SB_DEAD`].
-    pub(crate) sb: Vec<u32>,
-    /// Formed superblocks; killed entries are tombstoned in place and
-    /// their indices recycled through `sb_free`.
-    pub(crate) blocks: Vec<Superblock>,
-    pub(crate) sb_free: Vec<u32>,
-}
-
-impl CodeRange {
-    fn new(base: u64, end: u64, insts: Vec<Option<Inst>>) -> CodeRange {
-        let slots = insts.len();
-        CodeRange {
-            base,
-            end,
-            insts,
-            sb: vec![0; slots],
-            blocks: Vec::new(),
-            sb_free: Vec::new(),
-        }
-    }
-
-    /// Stores a formed block, reusing a tombstoned slot when available.
-    fn alloc_block(&mut self, b: Superblock) -> u32 {
-        match self.sb_free.pop() {
-            Some(i) => {
-                self.blocks[i as usize] = b;
-                i
-            }
-            None => {
-                self.blocks.push(b);
-                u32::try_from(self.blocks.len() - 1).expect("block count fits u32")
-            }
-        }
-    }
-}
 
 /// Pre-resolved [`CounterId`]s for counters bumped on (nearly) every
 /// dispatched instruction or store — skips the per-call string hash.
@@ -466,10 +485,7 @@ pub struct Machine {
     alloc_top: u64,
     loaded: Vec<(u64, u64)>,
     /// Decoded-instruction cache, one entry per loaded image.
-    pub(crate) code: Vec<CodeRange>,
-    /// Cheap store-time reject bounds: min base / max end over `code`.
-    pub(crate) code_lo: u64,
-    pub(crate) code_hi: u64,
+    pub(crate) code: Code,
     /// Index into `code` of the range that served the last fetch.
     last_code: usize,
     /// Reusable buffers for `after_store` (taken/restored around the
@@ -528,20 +544,10 @@ pub struct Machine {
     /// simulated state is bit-identical either way.
     pub(crate) sb_mem_on: bool,
     /// Sorted MMIO hook addresses, maintained by [`Machine::register_mmio`].
-    /// The superblock store probe binary-searches this instead of
-    /// scanning the hook map, and the shard engine borrows it per epoch.
+    /// The quiet-store test binary-searches this instead of scanning the
+    /// hook map, and the shard engine borrows it per epoch.
     pub(crate) mmio_addrs: Vec<u64>,
-    /// Reusable scratch for the memory-inclusive superblock probe: the
-    /// merged fetch+data line footprint (line, last-access position,
-    /// written), the data-page footprint (page, last data-access index),
-    /// the dedup-keep-last data-line order for the prefetcher, the
-    /// store undo log (addr, old value, width), and the distinct store
-    /// ranges already intersection-tested against the monitor filter.
-    sbm_lines: Vec<(PAddr, u64, bool)>,
-    sbm_pages: Vec<(u64, u64)>,
-    sbm_plines: Vec<PAddr>,
-    sbm_undo: Vec<(u64, u64, u8)>,
-    sbm_stores: Vec<(u64, u64)>,
+    block_scratch: BlockScratch,
 }
 
 /// Host-side statistics for the core-sharded epoch engine. These live
@@ -585,6 +591,7 @@ impl Machine {
         };
         let mut counters = Counters::new();
         let hot = HotCounters::new(&mut counters);
+        let (sb_on, sb_mem_on, serial_engine) = env_knobs();
         Machine {
             cfg,
             now: Cycles::ZERO,
@@ -616,9 +623,7 @@ impl Machine {
             halted: None,
             alloc_top: cfg.mem_bytes,
             loaded: Vec::new(),
-            code: Vec::new(),
-            code_lo: u64::MAX,
-            code_hi: 0,
+            code: Code::default(),
             last_code: 0,
             scratch_wakes: Vec::new(),
             scratch_mmio: Vec::new(),
@@ -635,19 +640,15 @@ impl Machine {
             exc_ledger: Ledger::default(),
             device_ledgers: Vec::new(),
             machine_jobs: 1,
-            serial_engine: serial_engine_default(),
+            serial_engine,
             core_domains: vec![None; cfg.cores],
             domain_journals: vec![Default::default(); cfg.cores],
             epoch_len: Cycles(64),
             shard_stats: ShardStats::default(),
-            sb_on: superblocks_default(),
-            sb_mem_on: mem_superblocks_default(),
+            sb_on,
+            sb_mem_on,
             mmio_addrs: Vec::new(),
-            sbm_lines: Vec::new(),
-            sbm_pages: Vec::new(),
-            sbm_plines: Vec::new(),
-            sbm_undo: Vec::new(),
-            sbm_stores: Vec::new(),
+            block_scratch: BlockScratch::default(),
         }
     }
 
@@ -932,79 +933,8 @@ impl Machine {
             self.mem[at..at + 8].copy_from_slice(&w.to_le_bytes());
         }
         self.loaded.push((base, end));
-        self.code.push(CodeRange::new(
-            base,
-            end,
-            prog.words.iter().map(|&w| Inst::decode(w).ok()).collect(),
-        ));
-        self.code_lo = self.code_lo.min(base);
-        self.code_hi = self.code_hi.max(end);
+        self.code.load(base, &prog.words);
         Ok(())
-    }
-
-    /// Cached decode of the word at `pc`, if `pc` is an aligned slot of a
-    /// loaded image. `None` means "use the slow fetch-and-decode path"
-    /// (unaligned pc, pc outside every image, or a non-decoding word).
-    #[inline]
-    fn cached_inst(&mut self, pc: u64) -> Option<Inst> {
-        let hint = self.last_code;
-        let idx = match self.code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = self.code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
-            }
-        };
-        let off = pc - self.code[idx].base;
-        if off & 7 != 0 {
-            return None;
-        }
-        self.code[idx].insts[(off >> 3) as usize]
-    }
-
-    /// Re-decodes cached instruction slots covered by a store of `len`
-    /// bytes at `addr`. Callers pre-filter with the `code_lo`/`code_hi`
-    /// bounds so steady-state data stores pay one compare, not a scan.
-    fn invalidate_code(&mut self, addr: u64, len: u64) {
-        let end = addr.saturating_add(len.max(1));
-        for r in &mut self.code {
-            if addr >= r.end || end <= r.base {
-                continue;
-            }
-            // Word slots live at base + 8*i; work in offsets from base.
-            let lo = (addr.max(r.base) - r.base) & !7;
-            let hi = end.min(r.end) - r.base;
-            let mut off = lo;
-            while off < hi {
-                let a = (r.base + off) as usize;
-                let word = u64::from_le_bytes(self.mem[a..a + 8].try_into().expect("8 bytes"));
-                r.insts[(off >> 3) as usize] = Inst::decode(word).ok();
-                off += 8;
-            }
-            // Superblock coherence: re-decoded slots lose any heat or
-            // dead-mark they accumulated, and every formed block whose
-            // static footprint overlaps the modified slots is killed
-            // (tombstoned; its index is recycled). A block formed later
-            // re-reads the fresh decode, so stale bodies cannot run.
-            let lo_slot = (lo >> 3) as usize;
-            let hi_slot = ((hi + 7) >> 3) as usize;
-            for s in &mut r.sb[lo_slot..hi_slot] {
-                if *s < SB_FORMED || *s == SB_DEAD {
-                    *s = 0;
-                }
-            }
-            for bi in 0..r.blocks.len() {
-                let b = &r.blocks[bi];
-                if !b.live || b.start_slot >= hi_slot || b.start_slot + b.len_slots <= lo_slot {
-                    continue;
-                }
-                r.blocks[bi].live = false;
-                r.sb[r.blocks[bi].start_slot] = 0;
-                r.sb_free
-                    .push(u32::try_from(bi).expect("block count fits u32"));
-            }
-        }
     }
 
     /// Host store of a u64 — passes through the monitor filter, so it can
@@ -1521,27 +1451,7 @@ impl Machine {
 
     /// The serial event loop (the reference engine).
     pub(crate) fn run_until_serial(&mut self, t: Cycles) {
-        while self.halted.is_none() {
-            // pop_due folds peek+pop into one heap traversal (hot loop).
-            let Some((ts, ev)) = self.events.pop_due(t) else {
-                break;
-            };
-            if ts > self.now {
-                // Event-queue boundary: all work at `now` has settled.
-                if self.invariants_on {
-                    self.check_invariants();
-                }
-                self.now = ts;
-            }
-            match ev {
-                Ev::SlotFree { core, slot } => self.dispatch(core as usize, slot as usize, t, None),
-                Ev::Call(key) => {
-                    if let Some(cb) = self.callbacks.remove(&key) {
-                        cb(self);
-                    }
-                }
-            }
-        }
+        while self.step_one(t, t, None) {}
         if self.invariants_on {
             self.check_invariants();
         }
@@ -1551,17 +1461,25 @@ impl Machine {
     }
 
     /// Pops and handles one event due at or before `pop_bound`, with
-    /// dispatch horizon `horizon` (the run deadline). Returns whether an
-    /// event was processed. Serial-replay primitive for the epoch engine;
-    /// body identical to one `run_until_serial` iteration.
-    pub(crate) fn step_one(&mut self, pop_bound: Cycles, horizon: Cycles) -> bool {
+    /// dispatch horizon `horizon` (the run deadline) and burst watch
+    /// `watch` (see `dispatch`). Returns whether an event was processed.
+    /// One iteration of every serial run loop; the epoch engine's serial
+    /// replay steps through it too.
+    pub(crate) fn step_one(
+        &mut self,
+        pop_bound: Cycles,
+        horizon: Cycles,
+        watch: Option<(Ptid, ThreadState)>,
+    ) -> bool {
         if self.halted.is_some() {
             return false;
         }
+        // pop_due folds peek+pop into one heap traversal (hot loop).
         let Some((ts, ev)) = self.events.pop_due(pop_bound) else {
             return false;
         };
         if ts > self.now {
+            // Event-queue boundary: all work at `now` has settled.
             if self.invariants_on {
                 self.check_invariants();
             }
@@ -1569,7 +1487,7 @@ impl Machine {
         }
         match ev {
             Ev::SlotFree { core, slot } => {
-                self.dispatch(core as usize, slot as usize, horizon, None);
+                self.dispatch(core as usize, slot as usize, horizon, watch)
             }
             Ev::Call(key) => {
                 if let Some(cb) = self.callbacks.remove(&key) {
@@ -1590,36 +1508,13 @@ impl Machine {
     pub fn run_until_state(&mut self, tid: ThreadId, state: ThreadState, limit: Cycles) -> bool {
         let deadline = self.now + limit;
         // Event-driven stepping: process one event at a time and check.
-        while self.now <= deadline && self.halted.is_none() {
-            if self.thread_state(tid) == state {
-                return true;
-            }
-            let Some((ts, ev)) = self.events.pop_due(deadline) else {
-                break;
-            };
-            if ts > self.now {
-                if self.invariants_on {
-                    self.check_invariants();
-                }
-                self.now = ts;
-            }
-            match ev {
-                // The watch pair makes bursts bail the moment `tid`
-                // reaches `state`, so `now` on return is exactly the
-                // single-step value.
-                Ev::SlotFree { core, slot } => self.dispatch(
-                    core as usize,
-                    slot as usize,
-                    deadline,
-                    Some((tid.ptid, state)),
-                ),
-                Ev::Call(key) => {
-                    if let Some(cb) = self.callbacks.remove(&key) {
-                        cb(self);
-                    }
-                }
-            }
-        }
+        // The watch makes bursts bail the moment `tid` reaches `state`,
+        // so `now` on return is exactly the single-step value.
+        let watch = Some((tid.ptid, state));
+        while self.now <= deadline
+            && self.thread_state(tid) != state
+            && self.step_one(deadline, deadline, watch)
+        {}
         self.thread_state(tid) == state
     }
 
@@ -1662,15 +1557,8 @@ impl Machine {
         // Wake-prefetch (§4): begin the state transfer and cache warming
         // now, so the first dispatch pays only the pipeline refill.
         if self.cfg.store.prefetch_on_wake {
-            let (bytes, prio2) = {
-                let t = &self.threads[ptid.0 as usize];
-                let bytes = if self.cfg.store.dirty_tracking {
-                    t.dirty_bytes()
-                } else {
-                    t.state_bytes()
-                };
-                (bytes, t.arch.prio)
-            };
+            let t = &self.threads[ptid.0 as usize];
+            let (bytes, prio2) = (t.transfer_bytes(self.cfg.store.dirty_tracking), t.arch.prio);
             let tier = self.cores[core].store.tier_of(ptid);
             if tier != Tier::Rf {
                 let (cost, from) = self.cores[core].store.activate(ptid, prio2, bytes);
@@ -1721,13 +1609,7 @@ impl Machine {
         for slot in 0..self.cfg.smt_slots {
             if self.cores[core].idle_slot[slot] {
                 self.cores[core].idle_slot[slot] = false;
-                self.events.schedule(
-                    self.now,
-                    Ev::SlotFree {
-                        core: core as u32,
-                        slot: slot as u32,
-                    },
-                );
+                self.events.schedule(self.now, Ev::slot_free(core, slot));
             }
         }
     }
@@ -1754,7 +1636,8 @@ impl Machine {
         self.trace.record_with(self.now, "fault", || {
             format!("{ptid} {kind} info={info:#x}")
         });
-        if edp == 0 || edp + crate::exception::DESCRIPTOR_BYTES > self.cfg.mem_bytes {
+        let desc_end = edp.saturating_add(crate::exception::DESCRIPTOR_BYTES);
+        if edp == 0 || desc_end > self.cfg.mem_bytes {
             self.exc_ledger.dropped += 1;
             self.halted = Some(format!(
                 "unhandled {kind} in {ptid} at pc={pc:#x} (no exception descriptor \
@@ -1799,12 +1682,8 @@ impl Machine {
 
     /// Post-store hook: consult the monitor filter and wake waiters.
     fn after_store(&mut self, addr: u64, len: u64, external: bool) {
-        // Keep the decoded-instruction cache coherent. The two compares
-        // reject every store outside the hull of loaded images, so data
-        // stores never scan `code`.
-        if addr < self.code_hi && addr.saturating_add(len.max(1)) > self.code_lo {
-            self.invalidate_code(addr, len);
-        }
+        // Keep the decoded-instruction cache coherent.
+        self.code.invalidate(&self.mem, addr, len);
         // Reuse the wake buffer across stores; `take` leaves an empty
         // `Vec` behind so a reentrant store (from `enable_thread`-driven
         // host logic or an mmio hook) just allocates its own.
@@ -1856,24 +1735,14 @@ impl Machine {
         }
     }
 
-    /// Data access from a thread on `core`; returns latency or a fault.
-    fn data_access(
-        &mut self,
-        core: usize,
-        ptid: Ptid,
-        addr: u64,
-        len: u64,
-        kind: AccessKind,
-    ) -> Result<Cycles, ExceptionKind> {
-        if addr.checked_add(len).is_none() || addr + len > self.cfg.mem_bytes {
-            return Err(ExceptionKind::BadMemory);
-        }
-        let tlb_cost = self.tlbs[core].access(0, addr / switchless_mem::addr::PAGE_BYTES);
+    /// In-bounds data access from a thread on `core`; returns latency.
+    fn data_access(&mut self, core: usize, ptid: Ptid, addr: u64, kind: AccessKind) -> Cycles {
+        let tlb_cost = self.tlbs[core].access(0, addr / PAGE_BYTES);
         let part = self.threads[ptid.0 as usize].partition;
         let res = self.hier.access(self.now, core, PAddr(addr), kind, part);
         self.prefetcher
             .record_access(WatchId(u64::from(ptid.0)), PAddr(addr));
-        Ok(tlb_cost + res.latency)
+        tlb_cost + res.latency
     }
 
     // -----------------------------------------------------------------
@@ -1899,13 +1768,11 @@ impl Machine {
             return Ok((e, cost));
         }
         // Miss: fetch the entry from memory through the hierarchy.
-        let addr = tdtr + u64::from(vtid.0) * 8;
-        if addr + 8 > self.cfg.mem_bytes {
-            return Err(ExceptionKind::BadMemory);
-        }
-        let lat = self
-            .data_access(core, caller, addr, 8, AccessKind::Read)
-            .map_err(|_| ExceptionKind::BadMemory)?;
+        let addr = tdtr
+            .checked_add(u64::from(vtid.0) * 8)
+            .filter(|&a| a.saturating_add(8) <= self.cfg.mem_bytes)
+            .ok_or(ExceptionKind::BadMemory)?;
+        let lat = self.data_access(core, caller, addr, AccessKind::Read);
         let entry = TdtEntry::decode(self.peek_u64(addr));
         self.cores[core].tdt.install(tdtr, vtid, entry);
         if !entry.valid {
@@ -1914,15 +1781,23 @@ impl Machine {
         Ok((entry, lat + Cycles(1)))
     }
 
-    /// Checks that `caller` may perform `need` on the entry's target.
-    /// Supervisor-mode threads bypass TDT permission bits.
-    fn check_perm(&self, caller: Ptid, entry: TdtEntry, need: Perms) -> Result<(), ExceptionKind> {
-        let mode = self.threads[caller.0 as usize].arch.mode;
-        if mode == Mode::Supervisor || entry.perms.allows(need) {
-            Ok(())
-        } else {
-            Err(ExceptionKind::PermissionDenied)
+    /// Resolves `vtid` to a thread `caller` may perform `need` on
+    /// (supervisor-mode threads bypass the TDT permission bits); returns
+    /// it with the lookup cost.
+    fn tdt_target(
+        &mut self,
+        core: usize,
+        caller: Ptid,
+        vtid: Vtid,
+        need: Perms,
+    ) -> Result<(Ptid, Cycles), ExceptionKind> {
+        let (entry, cost) = self.tdt_lookup(core, caller, vtid)?;
+        let supervisor = self.threads[caller.0 as usize].arch.mode == Mode::Supervisor;
+        if !(supervisor || entry.perms.allows(need)) || entry.ptid.0 as usize >= self.threads.len()
+        {
+            return Err(ExceptionKind::PermissionDenied);
         }
+        Ok((entry.ptid, cost))
     }
 
     // -----------------------------------------------------------------
@@ -1950,30 +1825,16 @@ impl Machine {
         }
         let now = self.now;
         // Split borrows: scheduler vs thread table.
-        let picked = {
-            let threads = &self.threads;
-            self.cores[core]
-                .sched
-                .pick(|p| threads[p.0 as usize].busy_until > now)
-        };
-        let Some(ptid) = picked else {
+        let threads = &self.threads;
+        let busy = |p: Ptid| Some(threads[p.0 as usize].busy_until).filter(|&b| b > now);
+        let Some(ptid) = self.cores[core].sched.pick(|p| busy(p).is_some()) else {
             // Runnable threads may exist but be busy (state transfer or an
             // in-flight instruction on the other slot): retry when the
             // earliest becomes free. Otherwise idle until a wake re-kicks.
-            let threads = &self.threads;
-            let next = self.cores[core].sched.min_over_enrolled(|p| {
-                let b = threads[p.0 as usize].busy_until;
-                (b > now).then_some(b)
-            });
+            let next = self.cores[core].sched.min_over_enrolled(busy);
             match next {
                 Some(at) => {
-                    self.events.schedule(
-                        at,
-                        Ev::SlotFree {
-                            core: core as u32,
-                            slot: slot as u32,
-                        },
-                    );
+                    self.events.schedule(at, Ev::slot_free(core, slot));
                 }
                 None => self.cores[core].idle_slot[slot] = true,
             }
@@ -1981,48 +1842,21 @@ impl Machine {
         };
         self.counters.bump(self.hot.sched_dispatches, 1);
 
-        // Activation cost: pipeline refill (plus state transfer when the
-        // thread's state is not RF-resident and wasn't prefetched).
         let mut cost = Cycles::ZERO;
-        let tier = self.cores[core].store.tier_of(ptid);
-        let needs_activation = !self.threads[ptid.0 as usize].activated || tier != Tier::Rf;
-        if needs_activation {
-            let (bytes, prio) = {
-                let t = &self.threads[ptid.0 as usize];
-                let bytes = if self.cfg.store.dirty_tracking {
-                    t.dirty_bytes()
-                } else {
-                    t.state_bytes()
-                };
-                (bytes, t.arch.prio)
-            };
-            let (act, from) = self.cores[core].store.activate(ptid, prio, bytes);
+        let t = &mut self.threads[ptid.0 as usize];
+        if let Some((act, from)) = self.cores[core].activate(ptid, t, self.cfg.store.dirty_tracking)
+        {
             self.counters.bump(self.hot.activate[from as usize], 1);
             cost += act;
-            let t = self.thread_mut(ptid);
-            t.activated = true;
-            t.touched = 0;
-        } else {
-            self.cores[core].store.touch(ptid);
         }
-        // Wake-to-execution latency: scheduler queueing (now - wake)
-        // plus the state-activation / pipeline-refill time just charged
-        // (`cost` holds exactly the activation portion at this point).
-        if let Some(wake) = self.threads[ptid.0 as usize].wake_at.take() {
-            let sample = (now - wake + cost).0;
+        if let Some(sample) = self.threads[ptid.0 as usize].take_wake_sample(now, cost) {
             self.wake_latency.record(sample);
             self.last_wake = Some((ptid, sample));
-            let ws = &mut self.threads[ptid.0 as usize].wake_stats;
-            ws.0 += 1;
-            ws.1 += sample;
-            ws.2 = ws.2.max(sample);
         }
 
         // Execute the first instruction (the one this SlotFree paid for).
-        self.pending_charge = Cycles::ZERO;
-        cost += self.exec_inst(core, ptid);
-        cost += self.pending_charge;
-        self.pending_charge = Cycles::ZERO;
+        let tid = ThreadId { core, ptid };
+        cost += self.exec_inst(tid);
         cost = cost.max(Cycles(1));
         let mut done = now + cost;
 
@@ -2052,136 +1886,70 @@ impl Machine {
             let mut qmin = self.events.next_deadline();
             'burst: while extra < MAX_BURST
                 && done <= horizon
-                && self.burst_eligible(core, ptid, done)
+                && self.halted.is_none()
+                && self.cores[core].burst_eligible(core, ptid, &self.threads[ptid.0 as usize], done)
             {
                 // Event-horizon gate: nothing due at or before `done` may
-                // be skipped. One exception: a pending `SlotFree` for a
-                // *sibling* slot of this core. With this thread
-                // sole-runnable and busy through every burst cursor,
-                // single-stepping that event is provably inert — its pick
-                // always loses to this slot (our pending `SlotFree` at
-                // any shared timestamp carries the earlier seq) and it
-                // merely reschedules itself. It is lifted out of the
-                // deadline computation via `pop_keyed` and restored
-                // verbatim at burst exit; because the restore preserves
-                // the original `(time, seq)` key, the run loop afterwards
-                // pops it exactly where single-stepping would have, and
-                // it re-enters real arbitration there.
-                while let Some(t) = qmin {
-                    if t > done {
-                        break;
-                    }
-                    let consumable = matches!(
-                        self.events.peek(),
-                        Some((_, &Ev::SlotFree { core: c, slot: s }))
-                            if c as usize == core && s as usize != slot
-                    );
-                    if !consumable {
-                        break 'burst;
-                    }
-                    let Some(lifted) = self.events.pop_keyed() else {
-                        unreachable!("peek/pop agree on the head event");
-                    };
-                    self.burst_stash.push(lifted);
-                    qmin = self.events.next_deadline();
+                // be skipped, except sibling-slot events (see
+                // `lift_siblings`).
+                if !self.lift_siblings(core, slot, &mut qmin, done) {
+                    break 'burst;
                 }
-                // Superblock fast path (DESIGN.md §10): a formed inert
-                // region executes as one unit when its whole span
-                // provably stays inside this burst's window. Inert
-                // instructions cannot schedule events, change any thread
-                // state, touch memory, or incur a pending charge, so the
-                // per-instruction mark/watch/eligibility re-checks are
-                // all constant across the block: the one check already
-                // done at the loop head covers every interior cursor
-                // (`busy_until <= done` stays true as `done` only
-                // grows). Any failed precondition falls back to the
-                // single-step path below — never a burst exit.
+                // Superblock fast path (DESIGN.md §10): a formed region
+                // executes as one unit when its whole span provably stays
+                // inside this burst's window. Block instructions cannot
+                // schedule events, change any thread state, or incur a
+                // pending charge, so the per-instruction mark/watch/
+                // eligibility re-checks are all constant across the
+                // block: the one check already done at the loop head
+                // covers every interior cursor (`busy_until <= done`
+                // stays true as `done` only grows). Any failed
+                // precondition falls back to the single-step path below —
+                // never a burst exit.
                 if self.sb_on {
                     let pc = self.threads[ptid.0 as usize].arch.pc;
                     let via_jump = pc != seq_pc;
-                    seq_pc = pc + 8;
-                    if via_jump {
-                        if let Some((ri, bi)) = self.sb_lookup(pc) {
-                            let (bcost, last_cost, len) = {
-                                let b = &self.code[ri].blocks[bi as usize];
-                                // Dynamic block cost: base costs plus one
-                                // L1 hit per data access. The block only
-                                // executes when every fetch/data line is
-                                // L1-resident and every data page is
-                                // TLB-resident (a TLB hit adds zero), so
-                                // the cost is static and `d_last` is
-                                // known before any probing.
-                                let l1 = self.cfg.hierarchy.lat_l1;
-                                (
-                                    b.cost + Cycles(b.mem_ops * l1.0),
-                                    b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
-                                    b.insts.len() as u64,
-                                )
-                            };
-                            // Dispatch time of the block's final
-                            // instruction: the burst window must reach
-                            // it, exactly as the loop head would have
-                            // required step by step. `extra` may
-                            // overshoot `MAX_BURST` by at most one block
-                            // — the cap is a host-side amortisation knob
-                            // and burst length is observably invisible,
-                            // so a looser bound only moves where bursts
-                            // split.
-                            let d_last = done + bcost - last_cost;
-                            if d_last <= horizon {
-                                // Extend the sibling-lift gate through
-                                // `d_last`: single-stepping the block
-                                // would run this gate at every interior
-                                // cursor. Over-lifting on a failed
-                                // attempt is harmless — lifted events
-                                // are restored under their original keys
-                                // either way.
-                                let mut clear = true;
-                                while let Some(t) = qmin {
-                                    if t > d_last {
-                                        break;
-                                    }
-                                    let consumable = matches!(
-                                        self.events.peek(),
-                                        Some((_, &Ev::SlotFree { core: c, slot: s }))
-                                            if c as usize == core && s as usize != slot
-                                    );
-                                    if !consumable {
-                                        // Single-stepping would stop
-                                        // partway into the region; do
-                                        // that instead.
-                                        clear = false;
-                                        break;
-                                    }
-                                    let Some(lifted) = self.events.pop_keyed() else {
-                                        unreachable!("peek/pop agree on the head event");
-                                    };
-                                    self.burst_stash.push(lifted);
-                                    qmin = self.events.next_deadline();
-                                }
-                                if clear && self.exec_superblock(core, ri, bi as usize, ptid) {
-                                    // Serial single-stepping leaves
-                                    // `now` at the last dispatch cursor,
-                                    // not at the completion time.
-                                    self.now = d_last;
-                                    done += bcost;
-                                    burst_cost += bcost;
-                                    extra += len;
-                                    // A block exit is a fresh control
-                                    // transfer: re-check at the next pc.
-                                    seq_pc = u64::MAX;
-                                    continue 'burst;
-                                }
-                            }
+                    seq_pc = pc.saturating_add(8);
+                    let (code, hint) = (&mut self.code, &mut self.last_code);
+                    let entered = via_jump.then(|| code.enter(hint, pc, self.sb_mem_on));
+                    if let Some((ri, bi)) = entered.flatten() {
+                        let b = self.code.block(ri, bi);
+                        let (bcost, last_cost) = b.dyn_cost(self.cfg.hierarchy.lat_l1);
+                        let len = b.insts.len() as u64;
+                        // Dispatch time of the block's final instruction:
+                        // the burst window must reach it, exactly as the
+                        // loop head would have required step by step.
+                        // `extra` may overshoot `MAX_BURST` by at most one
+                        // block — the cap is a host-side amortisation knob
+                        // and burst length is observably invisible, so a
+                        // looser bound only moves where bursts split.
+                        let d_last = done + bcost - last_cost;
+                        // Single-stepping the block would run the lift
+                        // gate at every interior cursor; if it would stop
+                        // partway into the region, single-step instead.
+                        // Over-lifting on a failed attempt is harmless —
+                        // lifted events are restored under their original
+                        // keys either way.
+                        if d_last <= horizon
+                            && self.lift_siblings(core, slot, &mut qmin, d_last)
+                            && self.exec_superblock(tid, ri, bi)
+                        {
+                            // Serial single-stepping leaves `now` at the
+                            // last dispatch cursor, not at the completion
+                            // time.
+                            self.now = d_last;
+                            done += bcost;
+                            burst_cost += bcost;
+                            extra += len;
+                            // A block exit is a fresh control transfer:
+                            // re-check at the next pc.
+                            seq_pc = u64::MAX;
+                            continue 'burst;
                         }
                     }
                 }
                 self.now = done;
-                self.pending_charge = Cycles::ZERO;
-                let mut c = self.exec_inst(core, ptid);
-                c += self.pending_charge;
-                self.pending_charge = Cycles::ZERO;
-                c = c.max(Cycles(1));
+                let c = self.exec_inst(tid).max(Cycles(1));
                 done += c;
                 burst_cost += c;
                 extra += 1;
@@ -2217,614 +1985,136 @@ impl Machine {
             t.busy_until = t.busy_until.max(done);
         }
         self.counters.bump(self.hot.inst_executed, 1 + extra);
-        self.events.schedule(
-            done,
-            Ev::SlotFree {
-                core: core as u32,
-                slot: slot as u32,
-            },
-        );
+        self.events.schedule(done, Ev::slot_free(core, slot));
     }
 
-    /// Whether the burst may execute one more instruction for `ptid`
-    /// dispatching at time `done`. True only when the single-step machine
-    /// would provably arrive at the identical pick with identical charges:
-    /// the thread is still runnable on this core with RF-resident,
-    /// already-activated state (no activation cost to charge), not made
-    /// busy by anything, and it is the **sole** enrolled thread (so
-    /// round-robin rotation is the identity and no fairness quantum can
-    /// be violated). Everything an instruction's side effects can touch
-    /// is re-read here, which makes the bailout effect-based — strictly
-    /// stronger than a syntactic instruction blacklist.
-    #[inline]
-    fn burst_eligible(&self, core: usize, ptid: Ptid, done: Cycles) -> bool {
-        if self.halted.is_some() {
-            return false;
-        }
-        let t = &self.threads[ptid.0 as usize];
-        t.state == ThreadState::Runnable
-            && t.activated
-            && t.home == core
-            && t.busy_until <= done
-            && self.cores[core].sched.sole_runnable() == Some(ptid)
-            && self.cores[core].store.tier_of(ptid) == Tier::Rf
-    }
-
-    /// Superblock lookup at `pc`: the (code-range, block) indices of a
-    /// formed, live superblock entered there. Misses bump the entry
-    /// slot's heat counter; crossing [`SB_HOT`] forms the region once
-    /// (or marks the slot [`SB_DEAD`] when no worthwhile region starts
-    /// there). Formation is driven purely by observed execution heat —
-    /// no static configuration (cf. "Switchless Calls Made Configless").
-    #[inline]
-    fn sb_lookup(&mut self, pc: u64) -> Option<(usize, u32)> {
-        let hint = self.last_code;
-        let idx = match self.code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = self.code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
-            }
-        };
-        let off = pc - self.code[idx].base;
-        if off & 7 != 0 {
-            return None;
-        }
-        let slot = (off >> 3) as usize;
-        let allow_mem = self.sb_mem_on;
-        let r = &mut self.code[idx];
-        match r.sb[slot] {
-            SB_DEAD => None,
-            s if s >= SB_FORMED => Some((idx, s & !SB_FORMED)),
-            heat if heat + 1 >= SB_HOT => match sblock::form(r.base, &r.insts, slot, allow_mem) {
-                Some(b) => {
-                    let bi = r.alloc_block(b);
-                    r.sb[slot] = SB_FORMED | bi;
-                    Some((idx, bi))
-                }
-                None => {
-                    r.sb[slot] = SB_DEAD;
-                    None
-                }
-            },
-            heat => {
-                r.sb[slot] = heat + 1;
-                None
-            }
-        }
-    }
-
-    /// Executes a formed superblock as one unit. Returns `false`
-    /// (having mutated nothing) when any fetch line is not L1-resident;
-    /// the caller single-steps instead, charging the miss exactly as
-    /// always. On success the L1 metadata (LRU stamps, tick, hit
-    /// counts) and the thread's registers, pc and dirty mask are
-    /// precisely what single-stepping the block would have produced.
-    fn exec_superblock(&mut self, core: usize, ri: usize, bi: usize, ptid: Ptid) -> bool {
-        if self.code[ri].blocks[bi].mem_ops > 0 {
-            return self.exec_superblock_mem(core, ri, bi, ptid);
-        }
-        let b = &self.code[ri].blocks[bi];
-        if !self
-            .hier
-            .l1_access_run(core, &b.lines, b.insts.len() as u64)
-        {
-            return false;
-        }
-        let t = &mut self.threads[ptid.0 as usize];
-        let entry = t.arch.pc;
-        t.arch.pc = sblock::exec_regs(&b.insts, &mut t.arch.gprs, entry);
-        t.touched |= b.touched;
-        true
-    }
-
-    /// Executes a memory-inclusive superblock as one unit (DESIGN.md
-    /// §10, "memory-inclusive regions"). The walk interprets the block
-    /// on a scratch register file, applies stores to memory under an
-    /// undo log (so later loads in the block see them), and *stages* the
-    /// block's exact dynamic footprint: the merged fetch+data L1 line
-    /// stream, the data-page TLB stream, and the dedup-keep-last data
-    /// lines for the prefetcher. Any effect the batch cannot reproduce
-    /// bails — reverse-replaying the undo log, mutating nothing — and
-    /// the caller single-steps, which raises/charges/invalidates/wakes
-    /// exactly as always:
-    ///
-    /// - an out-of-range address (single-step raises the precise fault);
-    /// - a non-resident L1 line or TLB page (single-step charges the
-    ///   miss and performs the fills);
-    /// - a store overlapping the code hull — including the block's own
-    ///   fetch lines (single-step runs `invalidate_code`, which kills
-    ///   the block);
-    /// - a store whose range intersects an armed monitor line
-    ///   (`MonitorFilter::would_wake` — conservative, so no wakeup is
-    ///   ever lost or delayed);
-    /// - a store within MMIO-doorbell proximity of a registered hook.
-    ///
-    /// On success the commit applies one batched, provably per-access-
-    /// equal update per structure: `Cache::access_run_mixed` for the L1,
-    /// `Tlb::access_run` for the pages, `WakePrefetcher::record_run` for
-    /// the data lines, and one `note_quiet_stores` bump for the filter's
-    /// store statistics (the serial store path discards `on_store`'s
-    /// cost, and a no-wake `on_store` has no other observable effect).
-    #[allow(clippy::too_many_lines)]
-    fn exec_superblock_mem(&mut self, core: usize, ri: usize, bi: usize, ptid: Ptid) -> bool {
-        const PAGE_BYTES: u64 = switchless_mem::addr::PAGE_BYTES;
-        let mem_bytes = self.cfg.mem_bytes;
-        let (code_lo, code_hi) = (self.code_lo, self.code_hi);
-        let b = &self.code[ri].blocks[bi];
-        self.sbm_lines.clear();
-        self.sbm_lines
-            .extend(b.lines.iter().map(|&(l, at)| (l, at, false)));
-        self.sbm_pages.clear();
-        self.sbm_plines.clear();
-        self.sbm_stores.clear();
-        self.sbm_undo.clear();
-
-        let mut gprs = self.threads[ptid.0 as usize].arch.gprs;
-        let mut pc = self.threads[ptid.0 as usize].arch.pc;
-        let mut ok = true;
-        let mut pos = 0u64; // position in the merged fetch+data stream
-        let mut data_idx = 0u64; // 1-based index in the data-access stream
-        let mut n_stores = 0u64;
-
-        macro_rules! gpr {
-            ($r:expr) => {
-                gprs[$r.0 as usize & 0xf]
-            };
-        }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                gprs[$r.0 as usize & 0xf] = v;
-            }};
-        }
-        // One data access: bail checks (bounds, TLB, L1), then stage the
-        // line/page/prefetch bookkeeping at the current stream position.
-        // The serial path accesses exactly the line and page *containing*
-        // the address, regardless of width — mirror that. Expands to a
-        // bool (labels cannot cross macro hygiene, so callers break on
-        // `ok` after the match).
-        macro_rules! data_access {
-            ($addr:expr, $len:expr, $write:expr) => {{
-                let addr: u64 = $addr;
-                if addr.checked_add($len).is_none()
-                    || addr + $len > mem_bytes
-                    || !self.tlbs[core].contains(0, addr / PAGE_BYTES)
-                    || !self.hier.l1_contains(core, PAddr(addr).line())
-                {
-                    false
-                } else {
-                    let page = addr / PAGE_BYTES;
-                    let line = PAddr(addr).line();
-                    pos += 1;
-                    data_idx += 1;
-                    match self.sbm_lines.iter_mut().find(|e| e.0 == line) {
-                        Some(e) => {
-                            // A fetch access of this line may come later
-                            // in the merged stream than this data access.
-                            e.1 = e.1.max(pos);
-                            e.2 |= $write;
-                        }
-                        None => self.sbm_lines.push((line, pos, $write)),
-                    }
-                    match self.sbm_pages.iter_mut().find(|e| e.0 == page) {
-                        Some(e) => e.1 = data_idx,
-                        None => self.sbm_pages.push((page, data_idx)),
-                    }
-                    if let Some(p) = self.sbm_plines.iter().position(|&l| l == line) {
-                        self.sbm_plines.remove(p);
-                    }
-                    self.sbm_plines.push(line);
-                    true
-                }
-            }};
-        }
-        macro_rules! load {
-            ($d:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                if data_access!(addr, $len, false) {
-                    let a = addr as usize;
-                    let v = if $len == 8 {
-                        u64::from_le_bytes(self.mem[a..a + 8].try_into().expect("8 bytes"))
-                    } else {
-                        u64::from(self.mem[a])
-                    };
-                    set_gpr!($d, v);
-                } else {
-                    ok = false;
-                }
-            }};
-        }
-        // A store additionally vets — once per distinct range, since a
-        // block cannot load images, arm monitors, or register hooks
-        // mid-flight — the decoded-code overlap (the hull compare
-        // `after_store` uses is a pre-filter that over-approximates
-        // when unrelated data sits between two images; only a real
-        // range overlap must single-step through `invalidate_code`,
-        // which covers self-modifying stores into the block's own fetch
-        // lines), the aggregated monitor test (`would_wake`), and
-        // MMIO-doorbell proximity.
-        macro_rules! store {
-            ($v:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                if !data_access!(addr, $len, true) {
-                    ok = false;
-                } else {
-                    if !self.sbm_stores.contains(&(addr, $len)) {
-                        let hits_code = addr < code_hi
-                            && addr + $len > code_lo
-                            && self
-                                .code
-                                .iter()
-                                .any(|r| addr < r.end && addr + $len > r.base);
-                        let lo = addr.saturating_sub(7);
-                        let i0 = self.mmio_addrs.partition_point(|&a| a < lo);
-                        if hits_code
-                            || self.filter.would_wake(PAddr(addr), $len)
-                            || self.mmio_addrs.get(i0).is_some_and(|&a| a < addr + $len)
-                        {
-                            ok = false;
-                        } else {
-                            self.sbm_stores.push((addr, $len));
-                        }
-                    }
-                    if ok {
-                        n_stores += 1;
-                        let a = addr as usize;
-                        if $len == 8 {
-                            let old =
-                                u64::from_le_bytes(self.mem[a..a + 8].try_into().expect("8 bytes"));
-                            self.sbm_undo.push((addr, old, 8));
-                            self.mem[a..a + 8].copy_from_slice(&($v).to_le_bytes());
-                        } else {
-                            self.sbm_undo.push((addr, u64::from(self.mem[a]), 1));
-                            self.mem[a] = (($v) & 0xff) as u8;
-                        }
-                    }
-                }
-            }};
-        }
-
-        for i in &b.insts {
-            pos += 1; // this instruction's fetch access
-            let mut next = pc + 8;
-            use Inst::*;
-            match *i {
-                Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-                Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-                And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-                Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-                Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-                Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-                Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-                Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-                Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-                Movi { d, imm } => set_gpr!(d, imm as u64),
-                Mov { d, a } => set_gpr!(d, gpr!(a)),
-                Nop | Work { .. } | Fence => {}
-                Ld { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 8),
-                LdA { d, addr } => load!(d, addr, 8),
-                LdB { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 1),
-                St { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 8),
-                StA { s, addr } => store!(gpr!(s), addr, 8),
-                StB { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 1),
-                Jmp { addr } => next = addr,
-                Jr { a } => next = gpr!(a),
-                Jal { d, addr } => {
-                    set_gpr!(d, pc + 8);
-                    next = addr;
-                }
-                Beq { a, b, addr } => {
-                    if gpr!(a) == gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Bne { a, b, addr } => {
-                    if gpr!(a) != gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Blt { a, b, addr } => {
-                    if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                Bge { a, b, addr } => {
-                    if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                _ => unreachable!("non-admissible instruction inside a memory superblock"),
-            }
-            if !ok {
+    /// Lifts pending `SlotFree`s of sibling slots of `core` due at or
+    /// before `until` out of the queue into the burst stash; `false` when
+    /// anything else is due first. With the bursting thread sole-runnable
+    /// and busy through every burst cursor, single-stepping such an event
+    /// is provably inert — its pick always loses to this slot (our
+    /// pending `SlotFree` at any shared timestamp carries the earlier
+    /// seq) and it merely reschedules itself. It is restored verbatim at
+    /// burst exit; because the restore preserves the original
+    /// `(time, seq)` key, the run loop afterwards pops it exactly where
+    /// single-stepping would have, and it re-enters real arbitration
+    /// there.
+    fn lift_siblings(
+        &mut self,
+        core: usize,
+        slot: usize,
+        qmin: &mut Option<Cycles>,
+        until: Cycles,
+    ) -> bool {
+        while let Some(t) = *qmin {
+            if t > until {
                 break;
             }
-            pc = next;
-        }
-
-        let (n_insts, mem_ops, touched) = (b.insts.len() as u64, b.mem_ops, b.touched);
-        // The commit's only fallible step is the L1 batch: the walk
-        // verified every *data* line, but the static fetch lines are
-        // checked (without mutation) inside `access_run_mixed` itself,
-        // exactly as on the pure-block path.
-        if !ok
-            || !self
-                .hier
-                .l1_access_run_mixed(core, &self.sbm_lines, n_insts + mem_ops)
-        {
-            for &(addr, old, len) in self.sbm_undo.iter().rev() {
-                let a = addr as usize;
-                if len == 8 {
-                    self.mem[a..a + 8].copy_from_slice(&old.to_le_bytes());
-                } else {
-                    self.mem[a] = old as u8;
-                }
+            let sibling = matches!(
+                self.events.peek(),
+                Some((_, &Ev::SlotFree { core: c, slot: s }))
+                    if c as usize == core && s as usize != slot
+            );
+            if !sibling {
+                return false;
             }
-            return false;
+            let lifted = self
+                .events
+                .pop_keyed()
+                .expect("peek/pop agree on the head event");
+            self.burst_stash.push(lifted);
+            *qmin = self.events.next_deadline();
         }
-        debug_assert!(data_idx == mem_ops, "every instruction executed");
-        let tlb_ok = self.tlbs[core].access_run(0, &self.sbm_pages, mem_ops);
-        debug_assert!(tlb_ok, "probe checked TLB residency for every page");
-        self.prefetcher
-            .record_run(WatchId(u64::from(ptid.0)), &self.sbm_plines);
-        if n_stores > 0 {
-            self.filter.note_quiet_stores(n_stores);
-        }
-        let t = &mut self.threads[ptid.0 as usize];
-        t.arch.gprs = gprs;
-        t.arch.pc = pc;
-        t.touched |= touched;
         true
     }
 
-    /// Executes one instruction for `ptid`; returns its cost. All state
-    /// effects (including faults) happen here.
+    /// Executes formed superblock `(ri, bi)` for `tid` as one unit (see
+    /// [`exec::run_block`]); `false` means single-step instead.
+    fn exec_superblock(&mut self, tid: ThreadId, ri: usize, bi: usize) -> bool {
+        // The code table is lent to the executor for the block's
+        // duration; no environment call reads `self.code`.
+        let code = std::mem::take(&mut self.code);
+        let ran = exec::run_block(&mut Cpu { m: self, tid }, &code, ri, bi);
+        self.code = code;
+        ran
+    }
+
+    /// Executes one instruction for `tid`; returns its cost, including
+    /// any cycles an hcall handler charged. All state effects (including
+    /// faults) happen here.
+    fn exec_inst(&mut self, tid: ThreadId) -> Cycles {
+        self.pending_charge = Cycles::ZERO;
+        let Ok(cost) = exec::step(&mut Cpu { m: self, tid });
+        cost + std::mem::replace(&mut self.pending_charge, Cycles::ZERO)
+    }
+
+    /// The serial semantics of [`Env::system`]: traps, hcalls,
+    /// monitor/mwait, thread control, CSRs and `halt`.
     #[allow(clippy::too_many_lines)]
-    fn exec_inst(&mut self, core: usize, ptid: Ptid) -> Cycles {
-        let pc = self.threads[ptid.0 as usize].arch.pc;
-        // Instruction fetch.
-        if pc + 8 > self.cfg.mem_bytes {
-            self.raise_exception(ptid, ExceptionKind::BadMemory, pc);
-            return Cycles(1);
-        }
-        let ifetch = self.hier.access(
-            self.now,
-            core,
-            PAddr(pc),
-            AccessKind::Read,
-            switchless_mem::cache::PartitionId::DEFAULT,
-        );
-        // A pipelined frontend hides L1-hit fetch latency entirely.
-        let ifetch_cost = if ifetch.level == HitLevel::L1 {
-            Cycles::ZERO
-        } else {
-            ifetch.latency
-        };
-        // Decoded-instruction cache: loaded images are pre-decoded, so the
-        // steady state skips both the byte fetch and `Inst::decode`. Pcs
-        // outside every image (or unaligned, or over a non-decoding word)
-        // fall back to fetch-and-decode, preserving the exception payload.
-        let inst = match self.cached_inst(pc) {
-            Some(i) => i,
-            None => {
-                let word = self.peek_u64(pc);
-                match Inst::decode(word) {
-                    Ok(i) => i,
-                    Err(_) => {
-                        self.raise_exception(ptid, ExceptionKind::BadInstruction, word);
-                        return ifetch_cost + Cycles(1);
-                    }
-                }
-            }
-        };
-
-        // Privilege check (§3.2: privileged ops from user mode disable the
-        // thread and write a descriptor, enabling emulation).
-        if inst.is_privileged() && self.threads[ptid.0 as usize].arch.mode == Mode::User {
-            // Cold path: fetch the raw encoding for the descriptor's info
-            // word (the cache only holds the decoded form).
-            let word = self.peek_u64(pc);
-            self.raise_exception(ptid, ExceptionKind::PrivilegedOp, word);
-            return ifetch_cost + Cycles(1);
-        }
-
-        let mut cost = ifetch_cost + Cycles(inst.base_cost());
+    fn exec_system(
+        &mut self,
+        tid: ThreadId,
+        inst: Inst,
+        pc: u64,
+        cost: &mut Cycles,
+    ) -> Option<u64> {
+        let ThreadId { core, ptid } = tid;
         let mut next_pc = pc + 8;
-
         macro_rules! gpr {
             ($r:expr) => {
-                self.threads[ptid.0 as usize].arch.gprs[$r.0 as usize & 0xf]
+                self.threads[ptid.0 as usize].gpr($r)
             };
         }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                let t = &mut self.threads[ptid.0 as usize];
-                t.arch.gprs[$r.0 as usize & 0xf] = v;
-                t.touched |= 1 << ($r.0 & 0xf);
-            }};
-        }
-
         use Inst::*;
         match inst {
-            Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-            Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-            And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-            Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-            Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-            Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-            Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-            Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-            Div { d, a, b } => {
-                let divisor = gpr!(b);
-                if divisor == 0 {
-                    self.raise_exception(ptid, ExceptionKind::DivZero, pc);
-                    return cost;
-                }
-                set_gpr!(d, gpr!(a) / divisor);
-            }
-            Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-            Movi { d, imm } => set_gpr!(d, imm as u64),
-            Mov { d, a } => set_gpr!(d, gpr!(a)),
-            Ld { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 8, AccessKind::Read) {
-                    Ok(lat) => {
-                        cost += lat;
-                        set_gpr!(d, self.peek_u64(addr));
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            LdA { d, addr } => match self.data_access(core, ptid, addr, 8, AccessKind::Read) {
-                Ok(lat) => {
-                    cost += lat;
-                    set_gpr!(d, self.peek_u64(addr));
-                }
-                Err(k) => {
-                    self.raise_exception(ptid, k, addr);
-                    return cost;
-                }
-            },
-            St { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 8, AccessKind::Write) {
-                    Ok(lat) => {
-                        cost += lat;
-                        let v = gpr!(s);
-                        self.raw_write_u64(addr, v);
-                        self.after_store(addr, 8, false);
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            StA { s, addr } => match self.data_access(core, ptid, addr, 8, AccessKind::Write) {
-                Ok(lat) => {
-                    cost += lat;
-                    let v = gpr!(s);
-                    self.raw_write_u64(addr, v);
-                    self.after_store(addr, 8, false);
-                }
-                Err(k) => {
-                    self.raise_exception(ptid, k, addr);
-                    return cost;
-                }
-            },
-            LdB { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 1, AccessKind::Read) {
-                    Ok(lat) => {
-                        cost += lat;
-                        set_gpr!(d, u64::from(self.mem[addr as usize]));
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            StB { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 1, AccessKind::Write) {
-                    Ok(lat) => {
-                        cost += lat;
-                        let v = (gpr!(s) & 0xff) as u8;
-                        self.mem[addr as usize] = v;
-                        self.after_store(addr, 1, false);
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            Jmp { addr } => next_pc = addr,
-            Jr { a } => next_pc = gpr!(a),
-            Jal { d, addr } => {
-                set_gpr!(d, pc + 8);
-                next_pc = addr;
-            }
-            Beq { a, b, addr } => {
-                if gpr!(a) == gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Bne { a, b, addr } => {
-                if gpr!(a) != gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Blt { a, b, addr } => {
-                if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
-            Bge { a, b, addr } => {
-                if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
             Halt => {
                 self.thread_mut(ptid).arch.pc = next_pc;
                 self.disable_thread(ptid, ThreadState::Halted);
-                return cost;
+                return None;
             }
-            Nop | Work { .. } | Fence => {}
-            Syscall { num } => {
+            Syscall { num } | VmCall { num } => {
+                let (kind, counters) = match inst {
+                    Syscall { .. } => (
+                        ExceptionKind::SyscallTrap,
+                        ["syscall.same_thread", "syscall.descriptor"],
+                    ),
+                    _ => (
+                        ExceptionKind::VmExit,
+                        ["vmexit.same_thread", "vmexit.descriptor"],
+                    ),
+                };
                 match self.cfg.trap {
-                    TrapMode::SameThread { syscall_cost, .. } => {
-                        cost += syscall_cost;
-                        if self.syscall_vector == 0 {
-                            self.raise_exception(ptid, ExceptionKind::SyscallTrap, u64::from(num));
-                            return cost;
+                    TrapMode::SameThread {
+                        syscall_cost,
+                        vmexit_cost,
+                    } => {
+                        let (penalty, vector) = match kind {
+                            ExceptionKind::SyscallTrap => (syscall_cost, self.syscall_vector),
+                            _ => (vmexit_cost, self.vm_vector),
+                        };
+                        *cost += penalty;
+                        if vector == 0 {
+                            self.raise_exception(ptid, kind, u64::from(num));
+                            return None;
                         }
                         let t = self.thread_mut(ptid);
                         t.arch.gprs[14] = pc + 8; // link
                         t.arch.gprs[11] = u64::from(num);
                         t.arch.mode = Mode::Supervisor;
-                        next_pc = self.syscall_vector;
-                        self.counters.inc("syscall.same_thread");
+                        next_pc = vector;
+                        self.counters.inc(counters[0]);
                     }
                     TrapMode::Descriptor => {
                         self.thread_mut(ptid).arch.pc = pc + 8;
-                        self.raise_exception(ptid, ExceptionKind::SyscallTrap, u64::from(num));
-                        self.counters.inc("syscall.descriptor");
-                        return cost;
+                        self.raise_exception(ptid, kind, u64::from(num));
+                        self.counters.inc(counters[1]);
+                        return None;
                     }
                 }
             }
-            VmCall { num } => match self.cfg.trap {
-                TrapMode::SameThread { vmexit_cost, .. } => {
-                    cost += vmexit_cost;
-                    if self.vm_vector == 0 {
-                        self.raise_exception(ptid, ExceptionKind::VmExit, u64::from(num));
-                        return cost;
-                    }
-                    let t = self.thread_mut(ptid);
-                    t.arch.gprs[14] = pc + 8;
-                    t.arch.gprs[11] = u64::from(num);
-                    t.arch.mode = Mode::Supervisor;
-                    next_pc = self.vm_vector;
-                    self.counters.inc("vmexit.same_thread");
-                }
-                TrapMode::Descriptor => {
-                    self.thread_mut(ptid).arch.pc = pc + 8;
-                    self.raise_exception(ptid, ExceptionKind::VmExit, u64::from(num));
-                    self.counters.inc("vmexit.descriptor");
-                    return cost;
-                }
-            },
             HCall { num } => {
                 self.thread_mut(ptid).arch.pc = next_pc;
                 if let Some(mut h) = self.hcalls.remove(&num) {
-                    let tid = ThreadId { core, ptid };
                     h(self, tid);
                     self.hcalls.entry(num).or_insert(h);
                 } else {
@@ -2832,15 +2122,10 @@ impl Machine {
                 }
                 // The handler may have blocked/redirected the thread; do
                 // not overwrite pc below.
-                return cost;
+                return None;
             }
-            Monitor { a } => {
-                let addr = gpr!(a);
-                self.arm_monitor(ptid, addr, &mut cost);
-            }
-            MonitorA { addr } => {
-                self.arm_monitor(ptid, addr, &mut cost);
-            }
+            Monitor { a } => self.arm_monitor(ptid, gpr!(a), cost),
+            MonitorA { addr } => self.arm_monitor(ptid, addr, cost),
             MWait => {
                 let t = self.thread_mut(ptid);
                 if t.monitor_triggered {
@@ -2854,7 +2139,7 @@ impl Machine {
                         self.filter.disarm_all(WatchId(u64::from(ptid.0)));
                     }
                     self.counters.inc("mwait.fallthrough");
-                    return cost;
+                    return None;
                 }
                 if !t.monitor_armed {
                     // mwait with nothing armed would sleep forever; treat
@@ -2882,46 +2167,44 @@ impl Machine {
                             }
                         });
                     }
-                    return cost;
+                    return None;
                 }
             }
-            Start { .. } | StartI { .. } | Stop { .. } | StopI { .. } => {
-                let (vtid, enable) = match inst {
-                    Start { vt } => (Vtid(gpr!(vt) as u16), true),
-                    StartI { vtid } => (Vtid(vtid), true),
-                    Stop { vt } => (Vtid(gpr!(vt) as u16), false),
-                    StopI { vtid } => (Vtid(vtid), false),
+            Start { .. }
+            | StartI { .. }
+            | Stop { .. }
+            | StopI { .. }
+            | RPull { .. }
+            | RPush { .. } => {
+                let vtid = Vtid(match inst {
+                    StartI { vtid } | StopI { vtid } => vtid,
+                    Start { vt } | Stop { vt } | RPull { vt, .. } | RPush { vt, .. } => {
+                        gpr!(vt) as u16
+                    }
+                    _ => unreachable!(),
+                });
+                let done = match inst {
+                    Start { .. } | StartI { .. } => self.start_stop(core, ptid, vtid, true),
+                    Stop { .. } | StopI { .. } => self.start_stop(core, ptid, vtid, false),
+                    RPull { local, remote, .. } => {
+                        let pulled = self.remote_reg(core, ptid, vtid, remote, None);
+                        pulled.map(|(value, c)| {
+                            self.thread_mut(ptid).set_gpr(local, value);
+                            c
+                        })
+                    }
+                    RPush { remote, local, .. } => {
+                        let value = gpr!(local);
+                        let pushed = self.remote_reg(core, ptid, vtid, remote, Some(value));
+                        pushed.map(|(_, c)| c)
+                    }
                     _ => unreachable!(),
                 };
-                match self.start_stop(core, ptid, vtid, enable) {
-                    Ok(extra) => cost += extra,
+                match done {
+                    Ok(extra) => *cost += extra,
                     Err(k) => {
                         self.raise_exception(ptid, k, u64::from(vtid.0));
-                        return cost;
-                    }
-                }
-            }
-            RPull { vt, local, remote } => {
-                let vtid = Vtid(gpr!(vt) as u16);
-                match self.remote_reg(core, ptid, vtid, remote, None) {
-                    Ok((value, extra)) => {
-                        cost += extra;
-                        set_gpr!(local, value);
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, u64::from(vtid.0));
-                        return cost;
-                    }
-                }
-            }
-            RPush { vt, remote, local } => {
-                let vtid = Vtid(gpr!(vt) as u16);
-                let value = gpr!(local);
-                match self.remote_reg(core, ptid, vtid, remote, Some(value)) {
-                    Ok((_, extra)) => cost += extra,
-                    Err(k) => {
-                        self.raise_exception(ptid, k, u64::from(vtid.0));
-                        return cost;
+                        return None;
                     }
                 }
             }
@@ -2931,8 +2214,9 @@ impl Machine {
                 self.cores[core].tdt.invalidate(tdtr, vtid);
             }
             CsrR { d, csr } => {
-                let v = self.threads[ptid.0 as usize].arch.read(RegSel::Ctrl(csr));
-                set_gpr!(d, v);
+                let t = self.thread_mut(ptid);
+                let v = t.arch.read(RegSel::Ctrl(csr));
+                t.set_gpr(d, v);
             }
             CsrW { csr, a } => {
                 let v = gpr!(a);
@@ -2940,14 +2224,13 @@ impl Machine {
                 t.arch.write(RegSel::Ctrl(csr), v);
                 t.touched |= 1 << 16;
             }
+            _ => unreachable!("the executor runs register, control and memory ops"),
         }
-
-        self.thread_mut(ptid).arch.pc = next_pc;
-        cost
+        Some(next_pc)
     }
 
     fn arm_monitor(&mut self, ptid: Ptid, addr: u64, cost: &mut Cycles) {
-        if addr + 8 > self.cfg.mem_bytes {
+        if addr.saturating_add(8) > self.cfg.mem_bytes {
             self.raise_exception(ptid, ExceptionKind::BadMemory, addr);
             return;
         }
@@ -2976,13 +2259,8 @@ impl Machine {
         vtid: Vtid,
         enable: bool,
     ) -> Result<Cycles, ExceptionKind> {
-        let (entry, lookup_cost) = self.tdt_lookup(core, caller, vtid)?;
         let need = if enable { Perms::START } else { Perms::STOP };
-        self.check_perm(caller, entry, need)?;
-        let target = entry.ptid;
-        if target.0 as usize >= self.threads.len() {
-            return Err(ExceptionKind::PermissionDenied);
-        }
+        let (target, lookup_cost) = self.tdt_target(core, caller, vtid, need)?;
         if enable {
             self.counters.inc("thread.starts");
             self.enable_thread(target);
@@ -3002,17 +2280,12 @@ impl Machine {
         remote: RegSel,
         write: Option<u64>,
     ) -> Result<(u64, Cycles), ExceptionKind> {
-        let (entry, lookup_cost) = self.tdt_lookup(core, caller, vtid)?;
         let need = if remote.is_sensitive() {
             Perms::MOD_MOST
         } else {
             Perms::MOD_SOME
         };
-        self.check_perm(caller, entry, need)?;
-        let target = entry.ptid;
-        if target.0 as usize >= self.threads.len() {
-            return Err(ExceptionKind::PermissionDenied);
-        }
+        let (target, lookup_cost) = self.tdt_target(core, caller, vtid, need)?;
         if !self.threads[target.0 as usize]
             .state
             .is_register_accessible()
@@ -3038,6 +2311,101 @@ impl Machine {
             None => t.arch.read(remote),
         };
         Ok((value, lookup_cost + tier_cost))
+    }
+}
+
+/// The serial engine's [`Env`]: one thread of a [`Machine`], with every
+/// effect performed in full.
+struct Cpu<'a> {
+    m: &'a mut Machine,
+    tid: ThreadId,
+}
+
+impl Env for Cpu<'_> {
+    type Bail = core::convert::Infallible;
+
+    fn thread(&mut self) -> &mut Thread {
+        &mut self.m.threads[self.tid.ptid.0 as usize]
+    }
+
+    fn mem_bytes(&self) -> u64 {
+        self.m.cfg.mem_bytes
+    }
+
+    fn ifetch(&mut self, pc: u64) -> Result<AccessResult, Self::Bail> {
+        let part = switchless_mem::cache::PartitionId::DEFAULT;
+        Ok(self
+            .m
+            .hier
+            .access(self.m.now, self.tid.core, PAddr(pc), AccessKind::Read, part))
+    }
+
+    fn decoded(&mut self, pc: u64) -> Option<Inst> {
+        self.m.code.inst(&mut self.m.last_code, pc)
+    }
+
+    fn data_access(&mut self, addr: u64, kind: AccessKind) -> Result<Cycles, Self::Bail> {
+        Ok(self.m.data_access(self.tid.core, self.tid.ptid, addr, kind))
+    }
+
+    fn bytes(&self, addr: u64, len: u64) -> Result<&[u8], Self::Bail> {
+        Ok(&self.m.mem[addr as usize..(addr + len) as usize])
+    }
+
+    fn bytes_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], Self::Bail> {
+        Ok(&mut self.m.mem[addr as usize..(addr + len) as usize])
+    }
+
+    fn after_store(&mut self, addr: u64, len: u64) -> Result<(), Self::Bail> {
+        self.m.after_store(addr, len, false);
+        Ok(())
+    }
+
+    fn fault(&mut self, kind: ExceptionKind, info: u64) -> Result<(), Self::Bail> {
+        self.m.raise_exception(self.tid.ptid, kind, info);
+        Ok(())
+    }
+
+    fn system(
+        &mut self,
+        inst: Inst,
+        pc: u64,
+        cost: &mut Cycles,
+    ) -> Result<Option<u64>, Self::Bail> {
+        Ok(self.m.exec_system(self.tid, inst, pc, cost))
+    }
+
+    fn resident(&self, addr: u64) -> bool {
+        self.m.tlbs[self.tid.core].contains(0, addr / PAGE_BYTES)
+            && self.m.hier.l1_contains(self.tid.core, PAddr(addr).line())
+    }
+
+    fn l1_run(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
+        self.m.hier.l1_access_run_mixed(self.tid.core, lines, n)
+    }
+
+    fn commit_block(
+        &mut self,
+        pages: &[(u64, u64)],
+        n: u64,
+        plines: &[PAddr],
+        stores: u64,
+    ) -> bool {
+        self.m
+            .prefetcher
+            .record_run(WatchId(u64::from(self.tid.ptid.0)), plines);
+        if stores > 0 {
+            self.m.filter.note_quiet_stores(stores);
+        }
+        self.m.tlbs[self.tid.core].access_run(0, pages, n)
+    }
+
+    fn quiet(&self, code: &Code, addr: u64, len: u64) -> bool {
+        exec::is_quiet_store(code, self.m.filter.as_ref(), &self.m.mmio_addrs, addr, len)
+    }
+
+    fn scratch(&mut self) -> &mut BlockScratch {
+        &mut self.m.block_scratch
     }
 }
 

@@ -64,29 +64,22 @@ pub(crate) struct Superblock {
     /// fully L1-resident to execute as a block, and L1-hit fetches cost
     /// zero (pipelined frontend), so base costs are the whole story.
     pub(crate) cost: Cycles,
-    /// Base cost of the final instruction — the serial engine leaves
-    /// `now` at the *dispatch* time of the last executed instruction,
-    /// i.e. block-end minus this.
-    pub(crate) last_cost: Cycles,
     /// Union of `Thread::touched` bits the sequence writes.
     pub(crate) touched: u32,
     /// Number of local-effect memory instructions in `insts` (each
     /// performs exactly one data access). Zero for pure register blocks,
     /// which execute through `exec_regs`; memory-inclusive blocks go
-    /// through the engine-specific batched probe instead.
+    /// through the batched memory walk instead.
     pub(crate) mem_ops: u64,
-    /// Whether the final instruction is a memory access — its dynamic
-    /// dispatch cost is `last_cost` plus one L1 hit, which the engines
-    /// need to place `now` at the last instruction's dispatch time.
-    pub(crate) last_is_mem: bool,
     /// Distinct L1 lines of the fetch stream, each with the 1-based
-    /// index of its last access (see `Cache::access_run`). For
+    /// index of its last access and a clear write bit (see
+    /// `Cache::access_run_mixed`). For
     /// memory-inclusive blocks the indices are positions in the *merged*
     /// fetch+data access stream (each instruction fetches, then memory
     /// instructions immediately perform their one data access), so the
     /// executing engine can splice dynamically-resolved data lines into
     /// the same numbering.
-    pub(crate) lines: Vec<(PAddr, u64)>,
+    pub(crate) lines: Vec<(PAddr, u64, bool)>,
     /// Cleared when a code mutation kills the block; the `blocks` slot
     /// is recycled through `CodeRange::sb_free`.
     pub(crate) live: bool,
@@ -157,9 +150,6 @@ pub(crate) fn form(
             touched |= 1 << (d.0 & 0xf);
         }
     }
-    let last = seq.last().expect("checked non-empty");
-    let last_cost = Cycles(last.base_cost());
-    let last_is_mem = last.is_local_mem();
     let mem_ops = seq.iter().filter(|i| i.is_local_mem()).count() as u64;
 
     // Fetch-stream footprint: walk the pc sequence (interior control
@@ -169,15 +159,15 @@ pub(crate) fn form(
     // fetch access is followed immediately by its data access when it
     // has one, so a memory instruction advances the position by two.
     // For pure blocks this reduces to plain instruction numbering.
-    let mut lines: Vec<(PAddr, u64)> = Vec::new();
+    let mut lines: Vec<(PAddr, u64, bool)> = Vec::new();
     let mut pc = entry_pc;
     let mut pos = 0u64;
     for i in &seq {
         pos += 1;
         let line = PAddr(pc).line();
-        match lines.iter_mut().find(|(l, _)| *l == line) {
-            Some((_, at)) => *at = pos,
-            None => lines.push((line, pos)),
+        match lines.iter_mut().find(|(l, _, _)| *l == line) {
+            Some((_, at, _)) => *at = pos,
+            None => lines.push((line, pos, false)),
         }
         if i.is_local_mem() {
             pos += 1;
@@ -193,85 +183,231 @@ pub(crate) fn form(
         len_slots,
         insts: seq,
         cost: Cycles(cost),
-        last_cost,
         touched,
         mem_ops,
-        last_is_mem,
         lines,
         live: true,
     })
 }
 
-/// Executes a superblock's instruction sequence over one thread's
-/// registers, mirroring `Machine::exec_inst` for the inert + terminal
-/// subset exactly; returns the exit pc. The caller folds the block's
-/// pre-computed `touched` mask into the thread.
-#[inline]
-pub(crate) fn exec_regs(insts: &[Inst], gprs: &mut [u64; 16], entry_pc: u64) -> u64 {
-    let mut pc = entry_pc;
-    macro_rules! gpr {
-        ($r:expr) => {
-            gprs[$r.0 as usize & 0xf]
-        };
-    }
-    macro_rules! set_gpr {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            gprs[$r.0 as usize & 0xf] = v;
-        }};
-    }
-    for i in insts {
-        let mut next = pc + 8;
-        use Inst::*;
-        match *i {
-            Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-            Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-            And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-            Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-            Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-            Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-            Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-            Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-            Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-            Movi { d, imm } => set_gpr!(d, imm as u64),
-            Mov { d, a } => set_gpr!(d, gpr!(a)),
-            Nop | Work { .. } | Fence => {}
-            Jmp { addr } => next = addr,
-            Jr { a } => next = gpr!(a),
-            Jal { d, addr } => {
-                set_gpr!(d, pc + 8);
-                next = addr;
-            }
-            Beq { a, b, addr } => {
-                if gpr!(a) == gpr!(b) {
-                    next = addr;
-                }
-            }
-            Bne { a, b, addr } => {
-                if gpr!(a) != gpr!(b) {
-                    next = addr;
-                }
-            }
-            Blt { a, b, addr } => {
-                if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                    next = addr;
-                }
-            }
-            Bge { a, b, addr } => {
-                if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                    next = addr;
-                }
-            }
-            _ => unreachable!("non-inert instruction inside a superblock"),
+/// An instruction's cost inside an executing block: its base cost plus
+/// one L1 hit per data access. A block only executes when every fetch
+/// and data line is L1-resident and every data page TLB-resident (an L1
+/// fetch hit and a TLB hit add zero), so this is known before probing.
+pub(crate) fn block_inst_cost(i: &Inst, lat_l1: Cycles) -> Cycles {
+    Cycles(i.base_cost())
+        + if i.is_local_mem() {
+            lat_l1
+        } else {
+            Cycles::ZERO
         }
-        pc = next;
+}
+
+impl Superblock {
+    /// The block's dynamic cost, and that of its last instruction: the
+    /// serial engine leaves `now` at the *dispatch* time of the last
+    /// executed instruction, i.e. block end minus the latter.
+    pub(crate) fn dyn_cost(&self, lat_l1: Cycles) -> (Cycles, Cycles) {
+        let last = self.insts.last().expect("blocks are non-empty");
+        let cost = self.cost + Cycles(self.mem_ops * lat_l1.0);
+        (cost, block_inst_cost(last, lat_l1))
     }
-    pc
+}
+
+/// Pre-decoded instructions for one loaded image.
+///
+/// `insts[i]` caches `Inst::decode` of the word at `base + 8*i`; `None`
+/// marks words that do not decode (the slow path re-raises the precise
+/// `BadInstruction` with the actual word). Stores that land inside
+/// `[base, end)` re-decode the covered words, so self-modifying code
+/// observes its writes exactly as it would with a per-fetch decode.
+pub(crate) struct CodeRange {
+    pub(crate) base: u64,
+    pub(crate) end: u64,
+    pub(crate) insts: Vec<Option<Inst>>,
+    /// Per-slot superblock state: a heat count below [`SB_HOT`],
+    /// [`SB_FORMED`]`| index` for a formed region entered at that slot,
+    /// or [`SB_DEAD`].
+    pub(crate) sb: Vec<u32>,
+    /// Formed superblocks; killed entries are tombstoned in place and
+    /// their indices recycled through `sb_free`.
+    pub(crate) blocks: Vec<Superblock>,
+    pub(crate) sb_free: Vec<u32>,
+}
+
+/// The decoded-instruction cache: one [`CodeRange`] per loaded image.
+/// Both engines look up instructions and superblock entries here, and
+/// test stores against it for code overlap.
+#[derive(Default)]
+pub(crate) struct Code {
+    pub(crate) ranges: Vec<CodeRange>,
+    /// Cheap store-time reject bounds: min base / max end over `ranges`.
+    lo: u64,
+    hi: u64,
+}
+
+impl Code {
+    /// Adds the image of `words` loaded at `base`.
+    pub(crate) fn load(&mut self, base: u64, words: &[u64]) {
+        let end = base + 8 * words.len() as u64;
+        (self.lo, self.hi) = if self.ranges.is_empty() {
+            (base, end)
+        } else {
+            (self.lo.min(base), self.hi.max(end))
+        };
+        self.ranges.push(CodeRange {
+            base,
+            end,
+            insts: words.iter().map(|&w| Inst::decode(w).ok()).collect(),
+            sb: vec![0; words.len()],
+            blocks: Vec::new(),
+            sb_free: Vec::new(),
+        });
+    }
+
+    /// The `(range, slot)` of `pc` when it is an aligned word slot of a
+    /// loaded image. `hint` remembers the last range found; ranges never
+    /// overlap, so it only short-circuits the search.
+    fn slot(&self, hint: &mut usize, pc: u64) -> Option<(usize, usize)> {
+        let ri = match self.ranges.get(*hint) {
+            Some(r) if r.base <= pc && pc < r.end => *hint,
+            _ => {
+                let ri = self
+                    .ranges
+                    .iter()
+                    .position(|r| r.base <= pc && pc < r.end)?;
+                *hint = ri;
+                ri
+            }
+        };
+        let off = pc - self.ranges[ri].base;
+        (off & 7 == 0).then_some((ri, (off >> 3) as usize))
+    }
+
+    /// Cached decode of the word at `pc`. `None` means "use the slow
+    /// fetch-and-decode path" (unaligned pc, pc outside every image, or a
+    /// non-decoding word).
+    pub(crate) fn inst(&self, hint: &mut usize, pc: u64) -> Option<Inst> {
+        let (ri, s) = self.slot(hint, pc)?;
+        self.ranges[ri].insts[s]
+    }
+
+    /// The `(range, block)` of a formed, live superblock entered at `pc`,
+    /// read-only: epoch workers consume blocks but never form them, since
+    /// the table is shared across worker threads.
+    pub(crate) fn formed(&self, hint: &mut usize, pc: u64) -> Option<(usize, usize)> {
+        let (ri, s) = self.slot(hint, pc)?;
+        match self.ranges[ri].sb[s] {
+            SB_DEAD => None,
+            x if x >= SB_FORMED => Some((ri, (x & !SB_FORMED) as usize)),
+            _ => None,
+        }
+    }
+
+    /// Like [`Code::formed`], but a miss bumps the entry slot's heat
+    /// counter; crossing [`SB_HOT`] forms the region once (or marks the
+    /// slot [`SB_DEAD`] when no worthwhile region starts there).
+    /// Formation is driven purely by observed execution heat — no static
+    /// configuration (cf. "Switchless Calls Made Configless").
+    pub(crate) fn enter(
+        &mut self,
+        hint: &mut usize,
+        pc: u64,
+        allow_mem: bool,
+    ) -> Option<(usize, usize)> {
+        let (ri, slot) = self.slot(hint, pc)?;
+        let r = &mut self.ranges[ri];
+        match r.sb[slot] {
+            SB_DEAD => None,
+            x if x >= SB_FORMED => Some((ri, (x & !SB_FORMED) as usize)),
+            heat if heat + 1 >= SB_HOT => match form(r.base, &r.insts, slot, allow_mem) {
+                Some(b) => {
+                    let bi = match r.sb_free.pop() {
+                        Some(i) => {
+                            r.blocks[i as usize] = b;
+                            i
+                        }
+                        None => {
+                            r.blocks.push(b);
+                            u32::try_from(r.blocks.len() - 1).expect("block count fits u32")
+                        }
+                    };
+                    r.sb[slot] = SB_FORMED | bi;
+                    Some((ri, bi as usize))
+                }
+                None => {
+                    r.sb[slot] = SB_DEAD;
+                    None
+                }
+            },
+            heat => {
+                r.sb[slot] = heat + 1;
+                None
+            }
+        }
+    }
+
+    pub(crate) fn block(&self, ri: usize, bi: usize) -> &Superblock {
+        &self.ranges[ri].blocks[bi]
+    }
+
+    /// Whether a store of `len` bytes at `addr` overlaps a loaded image.
+    /// The hull compare rejects every store outside it, so data stores
+    /// never scan the ranges; a hull hit *between* images is no overlap.
+    pub(crate) fn overlaps(&self, addr: u64, len: u64) -> bool {
+        let end = addr.saturating_add(len.max(1));
+        addr < self.hi && end > self.lo && self.ranges.iter().any(|r| addr < r.end && end > r.base)
+    }
+
+    /// Re-decodes the cached slots covered by a store of `len` bytes at
+    /// `addr`, reading the new words from `mem`.
+    pub(crate) fn invalidate(&mut self, mem: &[u8], addr: u64, len: u64) {
+        let end = addr.saturating_add(len.max(1));
+        if addr >= self.hi || end <= self.lo {
+            return;
+        }
+        for r in &mut self.ranges {
+            if addr >= r.end || end <= r.base {
+                continue;
+            }
+            // Word slots live at base + 8*i; work in offsets from base.
+            let lo = (addr.max(r.base) - r.base) & !7;
+            let hi = end.min(r.end) - r.base;
+            let mut off = lo;
+            while off < hi {
+                let a = (r.base + off) as usize;
+                let word = u64::from_le_bytes(mem[a..a + 8].try_into().expect("8 bytes"));
+                r.insts[(off >> 3) as usize] = Inst::decode(word).ok();
+                off += 8;
+            }
+            // Superblock coherence: re-decoded slots lose any heat or
+            // dead-mark they accumulated, and every formed block whose
+            // static footprint overlaps the modified slots is killed
+            // (tombstoned; its index is recycled). A block formed later
+            // re-reads the fresh decode, so stale bodies cannot run.
+            let lo_slot = (lo >> 3) as usize;
+            let hi_slot = ((hi + 7) >> 3) as usize;
+            for s in &mut r.sb[lo_slot..hi_slot] {
+                if *s < SB_FORMED || *s == SB_DEAD {
+                    *s = 0;
+                }
+            }
+            for (bi, b) in r.blocks.iter_mut().enumerate() {
+                if b.live && b.start_slot < hi_slot && b.start_slot + b.len_slots > lo_slot {
+                    b.live = false;
+                    r.sb[b.start_slot] = 0;
+                    r.sb_free
+                        .push(u32::try_from(bi).expect("block count fits u32"));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::exec_regs;
     use switchless_isa::asm::assemble;
 
     fn decoded(src: &str) -> (u64, Vec<Option<Inst>>) {
@@ -298,7 +434,7 @@ mod tests {
         assert_eq!(b.insts.len(), 4);
         // 1 + 1 + 1 + 3 (mul).
         assert_eq!(b.cost, Cycles(6));
-        assert_eq!(b.last_cost, Cycles(3));
+        assert_eq!(b.dyn_cost(Cycles(4)), (Cycles(6), Cycles(3)));
         assert_eq!(b.touched, 0b11110);
         // Starting *at* the store: not a region.
         assert!(form(base, &insts, 4, false).is_none());
@@ -330,7 +466,7 @@ mod tests {
         assert_eq!(b.cost, Cycles(256));
         // All four instructions live on one 64-byte line; its last
         // access is the final unrolled instruction.
-        assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 256)]);
+        assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 256, false)]);
         // Executing the block loops back to the entry.
         let mut gprs = [0u64; 16];
         let exit = exec_regs(&b.insts, &mut gprs, base);
@@ -388,7 +524,7 @@ mod tests {
         let b = form(base, &insts, 0, false).expect("9 inert insts form");
         assert_eq!(
             b.lines.as_slice(),
-            &[(PAddr(0x1000), 8), (PAddr(0x1040), 9)]
+            &[(PAddr(0x1000), 8, false), (PAddr(0x1040), 9, false)]
         );
     }
 
@@ -407,14 +543,14 @@ mod tests {
         let b = form(base, &insts, 0, true).expect("mem region forms");
         assert_eq!(b.len_slots, 4);
         assert_eq!(b.mem_ops, 2);
-        assert!(b.last_is_mem, "final instruction is the store");
         assert_eq!(b.cost, Cycles(4), "base costs only; latency is dynamic");
-        assert_eq!(b.last_cost, Cycles(1));
+        // Two L1 hits on top; the final store pays one of them.
+        assert_eq!(b.dyn_cost(Cycles(4)), (Cycles(12), Cycles(5)));
         // touched: r1 (addi), r2 (ld, add). Stores touch nothing.
         assert_eq!(b.touched, 0b110);
         // Merged-stream numbering: fetches at 1, 2, 4, 5 (the load's
         // data access occupies 3, the store's 6); one fetch line.
-        assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 5)]);
+        assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 5, false)]);
     }
 
     #[test]
@@ -429,11 +565,15 @@ mod tests {
         assert_eq!(b.len_slots, 3);
         assert_eq!(b.insts.len(), 255, "85 copies of 3");
         assert_eq!(b.mem_ops, 170);
-        assert!(!b.last_is_mem, "final instruction is the jump");
+        assert_eq!(
+            b.dyn_cost(Cycles(4)).1,
+            Cycles(1),
+            "final jump, no data access"
+        );
         // Merged stream: 255 fetches + 170 data accesses = 425
         // positions; the last access of the single fetch line is the
         // final jump's fetch at position 425.
-        assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 425)]);
+        assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 425, false)]);
     }
 
     #[test]
@@ -451,6 +591,6 @@ mod tests {
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.lines, b.lines);
         assert_eq!(b.mem_ops, 0);
-        assert!(!b.last_is_mem);
+        assert_eq!(a.dyn_cost(Cycles(4)), b.dyn_cost(Cycles(4)));
     }
 }

@@ -50,21 +50,21 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use switchless_isa::arch::Mode;
 use switchless_isa::inst::Inst;
 use switchless_mem::addr::{PAddr, PAGE_BYTES};
 use switchless_mem::cache::PartitionId;
-use switchless_mem::hierarchy::{AccessKind, CoreCaches, HitLevel};
+use switchless_mem::hierarchy::{AccessKind, AccessResult, CoreCaches};
 use switchless_mem::monitor::{MonitorFilter, WatchId};
 use switchless_mem::prefetch::PrefetchView;
 use switchless_mem::tlb::Tlb;
 use switchless_sim::par::par_map_owned;
 use switchless_sim::time::Cycles;
 
-use crate::machine::{CodeRange, CoreState, Ev, Machine, MachineConfig, Thread, MAX_BURST};
-use crate::sblock::{self, SB_DEAD, SB_FORMED};
-use crate::store::Tier;
-use crate::tid::{Ptid, ThreadState};
+use crate::exception::ExceptionKind;
+use crate::exec::{self, BlockScratch, Env};
+use crate::machine::{CoreState, Ev, Machine, MachineConfig, Thread, MAX_BURST};
+use crate::sblock::{block_inst_cost, Code};
+use crate::tid::Ptid;
 
 /// Epochs double up to this length while committing cleanly.
 const MAX_EPOCH: u64 = 1 << 20;
@@ -161,10 +161,10 @@ impl Domain<'_> {
             .then(|| (addr - self.base) as usize)
     }
 
-    /// Journaled write at a domain offset.
-    fn write(&mut self, off: usize, data: &[u8]) {
-        self.journal.save(self.bytes, off, data.len());
-        self.bytes[off..off + data.len()].copy_from_slice(data);
+    /// The `len` bytes at a domain offset, journaled for writing.
+    fn bytes_mut(&mut self, off: usize, len: usize) -> &mut [u8] {
+        self.journal.save(self.bytes, off, len);
+        &mut self.bytes[off..off + len]
     }
 }
 
@@ -186,9 +186,7 @@ struct Shared<'a> {
     /// the worker's own domain bail.
     gaps: Vec<(u64, &'a [u8])>,
     filter: &'a dyn MonitorFilter,
-    code: &'a [CodeRange],
-    code_lo: u64,
-    code_hi: u64,
+    code: &'a Code,
     /// Registered MMIO hook addresses, sorted (hit check bails).
     mmio_addrs: &'a [u64],
     /// Every core's registered domain, for the overlap check.
@@ -200,21 +198,6 @@ struct Shared<'a> {
     /// single-stepping — so serial/sharded stay bit-identical even when
     /// their block usage differs.
     sb_on: bool,
-}
-
-/// One core's slice of machine state for the epoch: small state cloned,
-/// caches and memory domain borrowed in place under undo journals.
-struct WorkerInput<'a> {
-    core: usize,
-    /// `(due, staging index, slot)` for this core's staged `SlotFree`s.
-    staged: Vec<(Cycles, u64, u32)>,
-    cs: CoreState,
-    /// Threads enrolled on this core, sorted by ptid.
-    threads: Vec<(u32, Thread)>,
-    caches: CoreCaches<'a>,
-    tlb: Tlb,
-    prefetch: PrefetchView,
-    domain: Option<Domain<'a>>,
 }
 
 /// A successful worker's output, spliced back verbatim at commit.
@@ -311,20 +294,11 @@ impl LocalQueue {
     }
 }
 
-/// Where a worker memory access resolves.
-enum Loc {
-    /// Offset into the worker's own domain.
-    Own(usize),
-    /// Fully outside every registered domain: the frozen shared image.
-    Shared,
-}
-
-/// Finds `p` in a sorted enrolled-thread table.
-fn find(threads: &[(u32, Thread)], p: Ptid) -> &Thread {
-    let i = threads
+/// The index of `p` in a sorted enrolled-thread table.
+fn th_idx(threads: &[(u32, Thread)], p: Ptid) -> usize {
+    threads
         .binary_search_by_key(&p.0, |e| e.0)
-        .expect("scheduler picked a thread enrolled on this core");
-    &threads[i].1
+        .expect("scheduler picked a thread enrolled on this core")
 }
 
 /// One epoch worker: a serial machine restricted to a single core.
@@ -360,51 +334,11 @@ struct Worker<'a> {
     d_insts: u64,
     d_activate: [u64; 4],
     quiet_stores: u64,
-    /// Memory-superblock probe scratch (mirrors `Machine::sbm_*`):
-    /// merged fetch+data L1 line stream with write bits, data-page TLB
-    /// stream, dedup-keep-last data lines for the prefetcher, applied
-    /// store undo log, and the distinct store ranges already vetted
-    /// against the monitor filter and MMIO table.
-    sbm_lines: Vec<(PAddr, u64, bool)>,
-    sbm_pages: Vec<(u64, u64)>,
-    sbm_plines: Vec<PAddr>,
-    sbm_undo: Vec<(u64, u64, u8)>,
-    sbm_stores: Vec<(u64, u64)>,
+    scratch: BlockScratch,
 }
 
-fn run_worker<'a>(sh: &'a Shared<'a>, input: WorkerInput<'a>) -> Result<WorkerOk, Bail> {
-    let mut q = LocalQueue::default();
-    for &(at, idx, slot) in &input.staged {
-        q.push(at, idx, slot);
-    }
-    let mut w = Worker {
-        sh,
-        core: input.core,
-        cs: input.cs,
-        threads: input.threads,
-        caches: input.caches,
-        tlb: input.tlb,
-        prefetch: input.prefetch,
-        domain: input.domain,
-        q,
-        stash: Vec::new(),
-        local_now: sh.now0,
-        created_at: Vec::new(),
-        hist: [Act::Unknown; ORIGIN_DEPTH],
-        hist_head: 0,
-        ran: false,
-        last_code: 0,
-        wakes: Vec::new(),
-        d_dispatches: 0,
-        d_insts: 0,
-        d_activate: [0; 4],
-        quiet_stores: 0,
-        sbm_lines: Vec::new(),
-        sbm_pages: Vec::new(),
-        sbm_plines: Vec::new(),
-        sbm_undo: Vec::new(),
-        sbm_stores: Vec::new(),
-    };
+fn run_worker(mut w: Worker<'_>) -> Result<WorkerOk, Bail> {
+    let sh = w.sh;
     while let Some((ts, key, slot)) = w.q.pop_below(sh.b) {
         if ts > w.local_now || (ts == w.local_now && !w.ran) {
             // A pop on time follows the action that created the event;
@@ -478,7 +412,7 @@ impl Worker<'_> {
                 }
                 Act::Block(ri, bi, d_last) => {
                     // Instruction starts, last to first: L1-hit costs.
-                    let insts = &self.sh.code[ri].blocks[bi].insts;
+                    let insts = &self.sh.code.block(ri, bi).insts;
                     let l1 = self.sh.cfg.hierarchy.lat_l1;
                     let mut at = d_last;
                     for k in (0..insts.len()).rev() {
@@ -488,10 +422,7 @@ impl Worker<'_> {
                         o[n] = at;
                         n += 1;
                         if k > 0 {
-                            let i = insts[k - 1];
-                            at = at
-                                - Cycles(i.base_cost())
-                                - if i.is_local_mem() { l1 } else { Cycles::ZERO };
+                            at -= block_inst_cost(&insts[k - 1], l1);
                         }
                     }
                 }
@@ -507,29 +438,15 @@ impl Worker<'_> {
         o
     }
 
-    fn th_idx(&self, ptid: Ptid) -> usize {
-        self.threads
-            .binary_search_by_key(&ptid.0, |e| e.0)
-            .expect("scheduler picked a thread enrolled on this core")
-    }
-
     /// Mirrors `Machine::dispatch` with `watch = None`, restricted to
     /// this core; returns the wake sample consumed, if any.
     #[allow(clippy::too_many_lines)]
     fn dispatch(&mut self, slot: u32) -> Result<Option<(u32, u64)>, Bail> {
         let now = self.local_now;
-        let picked = {
-            let threads = &self.threads;
-            self.cs.sched.pick(|p| find(threads, p).busy_until > now)
-        };
-        let Some(ptid) = picked else {
-            let next = {
-                let threads = &self.threads;
-                self.cs.sched.min_over_enrolled(|p| {
-                    let b = find(threads, p).busy_until;
-                    (b > now).then_some(b)
-                })
-            };
+        let threads = &self.threads;
+        let busy = |p| Some(threads[th_idx(threads, p)].1.busy_until).filter(|&b| b > now);
+        let Some(ptid) = self.cs.sched.pick(|p| busy(p).is_some()) else {
+            let next = self.cs.sched.min_over_enrolled(busy);
             match next {
                 Some(at) => self.schedule_local(at, slot),
                 None => self.cs.idle_slot[slot as usize] = true,
@@ -537,44 +454,22 @@ impl Worker<'_> {
             return Ok(None);
         };
         self.d_dispatches += 1;
-        let ti = self.th_idx(ptid);
+        let ti = th_idx(&self.threads, ptid);
 
         let mut cost = Cycles::ZERO;
-        let tier = self.cs.store.tier_of(ptid);
-        let needs_activation = !self.threads[ti].1.activated || tier != Tier::Rf;
-        if needs_activation {
-            let (bytes, prio) = {
-                let t = &self.threads[ti].1;
-                let bytes = if self.sh.cfg.store.dirty_tracking {
-                    t.dirty_bytes()
-                } else {
-                    t.state_bytes()
-                };
-                (bytes, t.arch.prio)
-            };
-            let (act, from) = self.cs.store.activate(ptid, prio, bytes);
+        let t = &mut self.threads[ti].1;
+        if let Some((act, from)) = self.cs.activate(ptid, t, self.sh.cfg.store.dirty_tracking) {
             self.d_activate[from as usize] += 1;
             cost += act;
-            let t = &mut self.threads[ti].1;
-            t.activated = true;
-            t.touched = 0;
-        } else {
-            self.cs.store.touch(ptid);
         }
-        let wake = if let Some(w) = self.threads[ti].1.wake_at.take() {
-            let sample = (now - w + cost).0;
-            let ws = &mut self.threads[ti].1.wake_stats;
-            ws.0 += 1;
-            ws.1 += sample;
-            ws.2 = ws.2.max(sample);
-            Some((ptid.0, sample))
-        } else {
-            None
-        };
+        let wake = self.threads[ti]
+            .1
+            .take_wake_sample(now, cost)
+            .map(|s| (ptid.0, s));
 
         // First instruction. `pending_charge` stays zero on every path a
         // worker is allowed to take (hcalls bail), so it is not modelled.
-        cost += self.exec_inst(ti)?;
+        cost += exec::step(&mut Cpu { w: self, ti })?;
         self.ran = true;
         cost = cost.max(Cycles(1));
         let mut done = now + cost;
@@ -594,82 +489,49 @@ impl Worker<'_> {
         'burst: while extra < MAX_BURST
             && done <= self.sh.t
             && done < self.sh.b
-            && self.burst_eligible(ptid, done)
+            // The machine cannot halt inside a worker: `halt` bails.
+            && self.cs.burst_eligible(self.core, ptid, &self.threads[ti].1, done)
         {
-            while let Some(tq) = qmin {
-                if tq > done {
-                    break;
-                }
-                // The local queue holds only own-core SlotFrees; a
-                // sibling slot's is consumable exactly as in the serial
-                // engine, anything else ends the burst.
-                if self.q.peek_slot() == Some(slot) {
-                    break 'burst;
-                }
-                let lifted = self.q.pop_head().expect("peek/pop agree");
-                self.stash.push(lifted);
-                qmin = self.q.next_deadline();
+            if !self.lift_siblings(slot, &mut qmin, done) {
+                break 'burst;
             }
-            // Superblock fast path — mirrors `Machine::dispatch`
-            // (DESIGN.md §10). Workers only consume blocks the serial
-            // engine has already formed (`sb_lookup` is read-only
-            // here); the serial exactness argument carries over, with
-            // the epoch horizon as the extra bound on the final
-            // dispatch cursor. Any failed precondition single-steps —
-            // never a burst exit.
+            // Superblock fast path, as in the serial engine (DESIGN.md
+            // §10), with the epoch horizon as the extra bound on the final
+            // dispatch cursor. Workers only consume blocks the serial
+            // engine has already formed. Any failed precondition
+            // single-steps — never a burst exit.
             if self.sh.sb_on {
                 let pc = self.threads[ti].1.arch.pc;
                 let via_jump = pc != seq_pc;
-                seq_pc = pc + 8;
-                if via_jump {
-                    if let Some((ri, bi)) = self.sb_lookup(pc) {
-                        let (bcost, last_cost, len) = {
-                            let b = &self.sh.code[ri].blocks[bi as usize];
-                            // Dynamic block cost, exactly as in the serial
-                            // engine: base costs plus one L1 hit per data
-                            // access (the block only runs fully resident).
-                            let l1 = self.sh.cfg.hierarchy.lat_l1;
-                            (
-                                b.cost + Cycles(b.mem_ops * l1.0),
-                                b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
-                                b.insts.len() as u64,
-                            )
-                        };
-                        // As in the serial engine, `extra` may overshoot
-                        // `MAX_BURST` by at most one block.
-                        let d_last = done + bcost - last_cost;
-                        if d_last <= self.sh.t && d_last < self.sh.b {
-                            let mut clear = true;
-                            while let Some(tq) = qmin {
-                                if tq > d_last {
-                                    break;
-                                }
-                                if self.q.peek_slot() == Some(slot) {
-                                    clear = false;
-                                    break;
-                                }
-                                let lifted = self.q.pop_head().expect("peek/pop agree");
-                                self.stash.push(lifted);
-                                qmin = self.q.next_deadline();
-                            }
-                            if clear && self.exec_superblock(ri, bi as usize, ti) {
-                                self.act(Act::Block(ri, bi as usize, d_last));
-                                self.ran = true;
-                                self.local_now = d_last;
-                                done += bcost;
-                                burst_cost += bcost;
-                                extra += len;
-                                seq_pc = u64::MAX;
-                                continue 'burst;
-                            }
-                        }
+                seq_pc = pc.saturating_add(8);
+                let code = self.sh.code;
+                let formed = via_jump.then(|| code.formed(&mut self.last_code, pc));
+                if let Some((ri, bi)) = formed.flatten() {
+                    let b = code.block(ri, bi);
+                    let (bcost, last_cost) = b.dyn_cost(self.sh.cfg.hierarchy.lat_l1);
+                    // As in the serial engine, `extra` may overshoot
+                    // `MAX_BURST` by at most one block.
+                    let d_last = done + bcost - last_cost;
+                    if d_last <= self.sh.t
+                        && d_last < self.sh.b
+                        && self.lift_siblings(slot, &mut qmin, d_last)
+                        && exec::run_block(&mut Cpu { w: self, ti }, code, ri, bi)
+                    {
+                        self.act(Act::Block(ri, bi, d_last));
+                        self.ran = true;
+                        self.local_now = d_last;
+                        done += bcost;
+                        burst_cost += bcost;
+                        extra += b.insts.len() as u64;
+                        seq_pc = u64::MAX;
+                        continue 'burst;
                     }
                 }
             }
             self.act(Act::At(done));
             self.ran = true;
             self.local_now = done;
-            let c = self.exec_inst(ti)?.max(Cycles(1));
+            let c = exec::step(&mut Cpu { w: self, ti })?.max(Cycles(1));
             done += c;
             burst_cost += c;
             extra += 1;
@@ -693,565 +555,149 @@ impl Worker<'_> {
         Ok(wake)
     }
 
-    /// Mirrors `Machine::burst_eligible` (the machine cannot halt inside
-    /// a worker — `Halt` bails).
-    fn burst_eligible(&self, ptid: Ptid, done: Cycles) -> bool {
-        let t = find(&self.threads, ptid);
-        t.state == ThreadState::Runnable
-            && t.activated
-            && t.home == self.core
-            && t.busy_until <= done
-            && self.cs.sched.sole_runnable() == Some(ptid)
-            && self.cs.store.tier_of(ptid) == Tier::Rf
-    }
-
-    /// Read-only superblock lookup: workers consume blocks the serial
-    /// engine has formed, but never bump heat or form new ones (the
-    /// code table is shared across worker threads).
-    #[inline]
-    fn sb_lookup(&mut self, pc: u64) -> Option<(usize, u32)> {
-        let code = self.sh.code;
-        let hint = self.last_code;
-        let idx = match code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
-            }
-        };
-        let off = pc - code[idx].base;
-        if off & 7 != 0 {
-            return None;
-        }
-        match code[idx].sb[(off >> 3) as usize] {
-            SB_DEAD => None,
-            s if s >= SB_FORMED => Some((idx, s & !SB_FORMED)),
-            _ => None,
-        }
-    }
-
-    /// Mirrors `Machine::exec_superblock` against the worker's private
-    /// cache view and thread clone.
-    fn exec_superblock(&mut self, ri: usize, bi: usize, ti: usize) -> bool {
-        if self.sh.code[ri].blocks[bi].mem_ops > 0 {
-            return self.exec_superblock_mem(ri, bi, ti);
-        }
-        let b = &self.sh.code[ri].blocks[bi];
-        if !self.caches.l1_access_run(&b.lines, b.insts.len() as u64) {
-            return false;
-        }
-        let t = &mut self.threads[ti].1;
-        let entry = t.arch.pc;
-        t.arch.pc = sblock::exec_regs(&b.insts, &mut t.arch.gprs, entry);
-        t.touched |= b.touched;
-        true
-    }
-
-    /// Mirrors `Machine::exec_superblock_mem` against the worker's
-    /// private clones, with the shard discipline layered on top: loads
-    /// may resolve to the worker's own domain scratch or the frozen
-    /// shared image, but any store must land fully inside the own
-    /// domain — everything else fails the probe, and the single-step
-    /// path then bails the epoch exactly as it always did. Stores are
-    /// applied to the domain scratch under an undo log so later loads
-    /// in the block see them; a failed probe reverse-replays the log
-    /// and mutates nothing.
-    #[allow(clippy::too_many_lines)]
-    fn exec_superblock_mem(&mut self, ri: usize, bi: usize, ti: usize) -> bool {
-        let sh = self.sh;
-        let b = &sh.code[ri].blocks[bi];
-        let mem_bytes = sh.cfg.mem_bytes;
-        let (code_lo, code_hi) = (sh.code_lo, sh.code_hi);
-        self.sbm_lines.clear();
-        self.sbm_lines
-            .extend(b.lines.iter().map(|&(l, at)| (l, at, false)));
-        self.sbm_pages.clear();
-        self.sbm_plines.clear();
-        self.sbm_stores.clear();
-        self.sbm_undo.clear();
-
-        let mut gprs = self.threads[ti].1.arch.gprs;
-        let mut pc = self.threads[ti].1.arch.pc;
-        let mut ok = true;
-        let mut pos = 0u64; // position in the merged fetch+data stream
-        let mut data_idx = 0u64; // 1-based index in the data-access stream
-        let mut n_stores = 0u64;
-
-        macro_rules! gpr {
-            ($r:expr) => {
-                gprs[$r.0 as usize & 0xf]
-            };
-        }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                gprs[$r.0 as usize & 0xf] = v;
-            }};
-        }
-        macro_rules! data_access {
-            ($addr:expr, $len:expr, $write:expr) => {{
-                let addr: u64 = $addr;
-                if addr.checked_add($len).is_none()
-                    || addr + $len > mem_bytes
-                    || !self.tlb.contains(0, addr / PAGE_BYTES)
-                    || !self.caches.l1_contains(PAddr(addr).line())
-                {
-                    false
-                } else {
-                    let page = addr / PAGE_BYTES;
-                    let line = PAddr(addr).line();
-                    pos += 1;
-                    data_idx += 1;
-                    match self.sbm_lines.iter_mut().find(|e| e.0 == line) {
-                        Some(e) => {
-                            e.1 = e.1.max(pos);
-                            e.2 |= $write;
-                        }
-                        None => self.sbm_lines.push((line, pos, $write)),
-                    }
-                    match self.sbm_pages.iter_mut().find(|e| e.0 == page) {
-                        Some(e) => e.1 = data_idx,
-                        None => self.sbm_pages.push((page, data_idx)),
-                    }
-                    if let Some(p) = self.sbm_plines.iter().position(|&l| l == line) {
-                        self.sbm_plines.remove(p);
-                    }
-                    self.sbm_plines.push(line);
-                    true
-                }
-            }};
-        }
-        macro_rules! load {
-            ($d:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                if data_access!(addr, $len, false) {
-                    match self.read_bytes(addr, $len) {
-                        Ok(bytes) => {
-                            let v = if $len == 8 {
-                                u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-                            } else {
-                                u64::from(bytes[0])
-                            };
-                            set_gpr!($d, v);
-                        }
-                        Err(Bail) => ok = false,
-                    }
-                } else {
-                    ok = false;
-                }
-            }};
-        }
-        macro_rules! store {
-            ($v:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                let end = addr + $len;
-                let own_off = self.domain.as_ref().and_then(|d| d.offset(addr, $len));
-                match (data_access!(addr, $len, true), own_off) {
-                    (true, Some(off)) => {
-                        if !self.sbm_stores.contains(&(addr, $len)) {
-                            // Precise code-overlap test, as in the serial
-                            // probe: the hull over-approximates when
-                            // unrelated data sits between two images.
-                            let hits_code = addr < code_hi
-                                && end > code_lo
-                                && sh.code.iter().any(|r| addr < r.end && end > r.base);
-                            let lo = addr.saturating_sub(7);
-                            let i0 = sh.mmio_addrs.partition_point(|&a| a < lo);
-                            if hits_code
-                                || sh.filter.would_wake(PAddr(addr), $len)
-                                || sh.mmio_addrs.get(i0).is_some_and(|&a| a < end)
-                            {
-                                ok = false;
-                            } else {
-                                self.sbm_stores.push((addr, $len));
-                            }
-                        }
-                        if ok {
-                            n_stores += 1;
-                            let dom = self.domain.as_mut().expect("own offset");
-                            if $len == 8 {
-                                let old = u64::from_le_bytes(
-                                    dom.bytes[off..off + 8].try_into().expect("8 bytes"),
-                                );
-                                self.sbm_undo.push((addr, old, 8));
-                                dom.write(off, &($v).to_le_bytes());
-                            } else {
-                                self.sbm_undo.push((addr, u64::from(dom.bytes[off]), 1));
-                                dom.write(off, &[(($v) & 0xff) as u8]);
-                            }
-                        }
-                    }
-                    _ => ok = false,
-                }
-            }};
-        }
-
-        for i in &b.insts {
-            pos += 1; // this instruction's fetch access
-            let mut next = pc + 8;
-            use Inst::*;
-            match *i {
-                Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-                Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-                And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-                Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-                Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-                Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-                Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-                Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-                Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-                Movi { d, imm } => set_gpr!(d, imm as u64),
-                Mov { d, a } => set_gpr!(d, gpr!(a)),
-                Nop | Work { .. } | Fence => {}
-                Ld { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 8),
-                LdA { d, addr } => load!(d, addr, 8),
-                LdB { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 1),
-                St { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 8),
-                StA { s, addr } => store!(gpr!(s), addr, 8),
-                StB { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 1),
-                Jmp { addr } => next = addr,
-                Jr { a } => next = gpr!(a),
-                Jal { d, addr } => {
-                    set_gpr!(d, pc + 8);
-                    next = addr;
-                }
-                Beq { a, b, addr } => {
-                    if gpr!(a) == gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Bne { a, b, addr } => {
-                    if gpr!(a) != gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Blt { a, b, addr } => {
-                    if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                Bge { a, b, addr } => {
-                    if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                _ => unreachable!("non-admissible instruction inside a memory superblock"),
-            }
-            if !ok {
+    /// Lifts own-queue events due at or before `until` into the burst
+    /// stash, as the serial engine lifts sibling-slot events (the local
+    /// queue holds only own-core `SlotFree`s); `false` when this slot's
+    /// own event is due first.
+    fn lift_siblings(&mut self, slot: u32, qmin: &mut Option<Cycles>, until: Cycles) -> bool {
+        while let Some(tq) = *qmin {
+            if tq > until {
                 break;
             }
-            pc = next;
-        }
-
-        let (n_insts, mem_ops, touched) = (b.insts.len() as u64, b.mem_ops, b.touched);
-        if !ok
-            || !self
-                .caches
-                .l1_access_run_mixed(&self.sbm_lines, n_insts + mem_ops)
-        {
-            if let Some(dom) = self.domain.as_mut() {
-                for &(addr, old, len) in self.sbm_undo.iter().rev() {
-                    let off = (addr - dom.base) as usize;
-                    if len == 8 {
-                        dom.bytes[off..off + 8].copy_from_slice(&old.to_le_bytes());
-                    } else {
-                        dom.bytes[off] = old as u8;
-                    }
-                }
+            if self.q.peek_slot() == Some(slot) {
+                return false;
             }
-            return false;
+            let lifted = self.q.pop_head().expect("peek/pop agree");
+            self.stash.push(lifted);
+            *qmin = self.q.next_deadline();
         }
-        debug_assert!(data_idx == mem_ops, "every instruction executed");
-        let tlb_ok = self.tlb.access_run(0, &self.sbm_pages, mem_ops);
-        debug_assert!(tlb_ok, "probe checked TLB residency for every page");
-        let ptid = self.threads[ti].0;
-        self.prefetch
-            .record_run(WatchId(u64::from(ptid)), &self.sbm_plines);
-        self.quiet_stores += n_stores;
-        let t = &mut self.threads[ti].1;
-        t.arch.gprs = gprs;
-        t.arch.pc = pc;
-        t.touched |= touched;
         true
     }
+}
 
-    /// Resolves an access of `len` bytes at `addr`: the worker's own
-    /// domain, the frozen shared image, or a bail (any overlap with a
-    /// registered domain that is not full containment in our own).
-    fn locate(&self, addr: u64, len: u64) -> Result<Loc, Bail> {
-        let end = addr + len;
-        if let Some(off) = self.domain.as_ref().and_then(|d| d.offset(addr, len)) {
-            return Ok(Loc::Own(off));
-        }
-        for (b, l) in self.sh.domains.iter().flatten() {
-            if addr < b + l && *b < end {
-                return Err(Bail);
-            }
-        }
-        Ok(Loc::Shared)
+/// An epoch worker's [`Env`] for thread `ti`: the serial semantics
+/// restricted to the core's shard. Exceptions, privilege traps, syscalls,
+/// hcalls, monitor/mwait, thread control, CSRs, `halt`, L3-bound
+/// accesses and non-local or non-quiet stores bail the epoch. Bailing
+/// before any shard-visible effect is not required (clones are discarded
+/// wholesale and the journals undone); bailing before any *shared* effect
+/// is, and every shared touchpoint is read-only.
+struct Cpu<'w, 'a> {
+    w: &'w mut Worker<'a>,
+    ti: usize,
+}
+
+impl Env for Cpu<'_, '_> {
+    type Bail = Bail;
+
+    fn thread(&mut self) -> &mut Thread {
+        &mut self.w.threads[self.ti].1
     }
 
-    fn read_bytes(&self, addr: u64, len: u64) -> Result<&[u8], Bail> {
-        match self.locate(addr, len)? {
-            Loc::Own(off) => {
-                let bytes = &self
-                    .domain
-                    .as_ref()
-                    .expect("own location implies a domain")
-                    .bytes;
-                Ok(&bytes[off..off + len as usize])
-            }
-            Loc::Shared => {
-                // Outside every domain, so inside exactly one gap.
-                let gaps = &self.sh.gaps;
-                let (base, bytes) = gaps[gaps.partition_point(|g| g.0 <= addr) - 1];
-                let off = (addr - base) as usize;
-                Ok(&bytes[off..off + len as usize])
-            }
-        }
+    fn mem_bytes(&self) -> u64 {
+        self.w.sh.cfg.mem_bytes
     }
 
-    fn read_u64(&self, addr: u64) -> Result<u64, Bail> {
-        Ok(u64::from_le_bytes(
-            self.read_bytes(addr, 8)?.try_into().expect("8 bytes"),
-        ))
+    fn ifetch(&mut self, pc: u64) -> Result<AccessResult, Bail> {
+        self.w
+            .caches
+            .try_access(PAddr(pc), AccessKind::Read, PartitionId::DEFAULT)
+            .ok_or(Bail)
     }
 
-    fn read_u8(&self, addr: u64) -> Result<u8, Bail> {
-        Ok(self.read_bytes(addr, 1)?[0])
+    fn decoded(&mut self, pc: u64) -> Option<Inst> {
+        self.w.sh.code.inst(&mut self.w.last_code, pc)
     }
 
-    /// Writes must land fully inside the worker's own domain.
-    fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), Bail> {
-        match self.locate(addr, data.len() as u64)? {
-            Loc::Own(off) => {
-                self.domain
-                    .as_mut()
-                    .expect("own location implies a domain")
-                    .write(off, data);
-                Ok(())
-            }
-            Loc::Shared => Err(Bail),
-        }
-    }
-
-    /// The store side effects a worker may *not* have: code-image
-    /// invalidation, monitor wakes, MMIO doorbells. A quiet store's only
-    /// filter effect (`stores_checked`) is batched to commit.
-    fn check_store(&self, addr: u64, len: u64) -> Result<(), Bail> {
-        let end = addr.saturating_add(len.max(1));
-        if addr < self.sh.code_hi
-            && end > self.sh.code_lo
-            && self.sh.code.iter().any(|r| addr < r.end && end > r.base)
-        {
-            // A real decoded-range overlap: the serial engine would run
-            // `invalidate_code`, a shared effect. A hull hit *between*
-            // images has no code effect and commits fine.
-            return Err(Bail);
-        }
-        if self.sh.filter.would_wake(PAddr(addr), len) {
-            return Err(Bail);
-        }
-        if !self.sh.mmio_addrs.is_empty() {
-            let lo = addr.saturating_sub(7);
-            let i = self.sh.mmio_addrs.partition_point(|&a| a < lo);
-            if self.sh.mmio_addrs.get(i).is_some_and(|&a| a < end) {
-                return Err(Bail);
-            }
-        }
-        Ok(())
-    }
-
-    /// Mirrors `Machine::data_access`; the L1/L2-only cache view makes
-    /// any access that needs the shared L3 a bail.
-    fn data_access(
-        &mut self,
-        ti: usize,
-        addr: u64,
-        len: u64,
-        kind: AccessKind,
-    ) -> Result<Cycles, Bail> {
-        if addr.checked_add(len).is_none() || addr + len > self.sh.cfg.mem_bytes {
-            // Serial raises BadMemory here — an exception path.
-            return Err(Bail);
-        }
-        let tlb_cost = self.tlb.access(0, addr / PAGE_BYTES);
-        let part = self.threads[ti].1.partition;
-        let Some(res) = self.caches.try_access(PAddr(addr), kind, part) else {
-            return Err(Bail);
-        };
-        let ptid = self.threads[ti].0;
-        self.prefetch
-            .record_access(WatchId(u64::from(ptid)), PAddr(addr));
+    /// The L1/L2-only cache view makes any access that needs the shared
+    /// L3 a bail.
+    fn data_access(&mut self, addr: u64, kind: AccessKind) -> Result<Cycles, Bail> {
+        let w = &mut *self.w;
+        let tlb_cost = w.tlb.access(0, addr / PAGE_BYTES);
+        let (ptid, t) = &w.threads[self.ti];
+        let res = w
+            .caches
+            .try_access(PAddr(addr), kind, t.partition)
+            .ok_or(Bail)?;
+        w.prefetch
+            .record_access(WatchId(u64::from(*ptid)), PAddr(addr));
         Ok(tlb_cost + res.latency)
     }
 
-    /// Mirrors `Machine::cached_inst` (the hint is worker-local; ranges
-    /// never overlap, so hint hits and scans agree).
-    fn cached_inst(&mut self, pc: u64) -> Option<Inst> {
-        let code = self.sh.code;
-        let hint = self.last_code;
-        let idx = match code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
+    /// Reads land inside the worker's own domain or fully outside every
+    /// registered domain, in the frozen shared image; any other overlap
+    /// with a domain bails.
+    fn bytes(&self, addr: u64, len: u64) -> Result<&[u8], Bail> {
+        let (w, n) = (&*self.w, len as usize);
+        if let Some(d) = &w.domain {
+            if let Some(off) = d.offset(addr, len) {
+                return Ok(&d.bytes[off..off + n]);
             }
-        };
-        let off = pc - code[idx].base;
-        if off & 7 != 0 {
-            return None;
         }
-        code[idx].insts[(off >> 3) as usize]
+        let overlaps = |&(b, l): &(u64, u64)| addr < b + l && b < addr + len;
+        if w.sh.domains.iter().flatten().any(overlaps) {
+            return Err(Bail);
+        }
+        // Outside every domain, so inside exactly one gap.
+        let gaps = &w.sh.gaps;
+        let (base, bytes) = gaps[gaps.partition_point(|g| g.0 <= addr) - 1];
+        let off = (addr - base) as usize;
+        Ok(&bytes[off..off + n])
     }
 
-    /// Mirrors `Machine::exec_inst` over the pure-compute + core-local
-    /// memory subset; anything else — exceptions, privilege traps,
-    /// syscalls, hcalls, monitor/mwait, thread control, CSRs, `Halt`,
-    /// L3-bound accesses, non-local stores — bails the epoch. Bailing
-    /// *before* any shard-visible effect is not required (clones are
-    /// discarded wholesale); bailing before any *shared* effect is, and
-    /// every shared touchpoint above is read-only.
-    #[allow(clippy::too_many_lines)]
-    fn exec_inst(&mut self, ti: usize) -> Result<Cycles, Bail> {
-        let pc = self.threads[ti].1.arch.pc;
-        if pc.checked_add(8).is_none_or(|e| e > self.sh.cfg.mem_bytes) {
-            return Err(Bail);
-        }
-        let Some(ifetch) =
-            self.caches
-                .try_access(PAddr(pc), AccessKind::Read, PartitionId::DEFAULT)
-        else {
-            return Err(Bail);
-        };
-        let ifetch_cost = if ifetch.level == HitLevel::L1 {
-            Cycles::ZERO
-        } else {
-            ifetch.latency
-        };
-        let inst = match self.cached_inst(pc) {
-            Some(i) => i,
-            None => {
-                let word = self.read_u64(pc)?;
-                match Inst::decode(word) {
-                    Ok(i) => i,
-                    Err(_) => return Err(Bail),
-                }
-            }
-        };
-        if inst.is_privileged() && self.threads[ti].1.arch.mode == Mode::User {
-            return Err(Bail);
-        }
+    /// Writes must land fully inside the worker's own domain.
+    fn bytes_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], Bail> {
+        let d = self.w.domain.as_mut().ok_or(Bail)?;
+        let off = d.offset(addr, len).ok_or(Bail)?;
+        Ok(d.bytes_mut(off, len as usize))
+    }
 
-        let mut cost = ifetch_cost + Cycles(inst.base_cost());
-        let mut next_pc = pc + 8;
+    /// A quiet store's only filter effect (`stores_checked`) is batched
+    /// to commit.
+    fn after_store(&mut self, addr: u64, len: u64) -> Result<(), Bail> {
+        if !self.quiet(self.w.sh.code, addr, len) {
+            return Err(Bail);
+        }
+        self.w.quiet_stores += 1;
+        Ok(())
+    }
 
-        macro_rules! gpr {
-            ($r:expr) => {
-                self.threads[ti].1.arch.gprs[$r.0 as usize & 0xf]
-            };
-        }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                let t = &mut self.threads[ti].1;
-                t.arch.gprs[$r.0 as usize & 0xf] = v;
-                t.touched |= 1 << ($r.0 & 0xf);
-            }};
-        }
-        use Inst::*;
-        match inst {
-            Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-            Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-            And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-            Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-            Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-            Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-            Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-            Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-            Div { d, a, b } => {
-                let divisor = gpr!(b);
-                if divisor == 0 {
-                    return Err(Bail);
-                }
-                set_gpr!(d, gpr!(a) / divisor);
-            }
-            Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-            Movi { d, imm } => set_gpr!(d, imm as u64),
-            Mov { d, a } => set_gpr!(d, gpr!(a)),
-            Ld { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 8, AccessKind::Read)?;
-                let v = self.read_u64(addr)?;
-                set_gpr!(d, v);
-            }
-            LdA { d, addr } => {
-                cost += self.data_access(ti, addr, 8, AccessKind::Read)?;
-                let v = self.read_u64(addr)?;
-                set_gpr!(d, v);
-            }
-            St { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 8, AccessKind::Write)?;
-                self.check_store(addr, 8)?;
-                let v = gpr!(s);
-                self.write_bytes(addr, &v.to_le_bytes())?;
-                self.quiet_stores += 1;
-            }
-            StA { s, addr } => {
-                cost += self.data_access(ti, addr, 8, AccessKind::Write)?;
-                self.check_store(addr, 8)?;
-                let v = gpr!(s);
-                self.write_bytes(addr, &v.to_le_bytes())?;
-                self.quiet_stores += 1;
-            }
-            LdB { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 1, AccessKind::Read)?;
-                let v = u64::from(self.read_u8(addr)?);
-                set_gpr!(d, v);
-            }
-            StB { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 1, AccessKind::Write)?;
-                self.check_store(addr, 1)?;
-                let v = (gpr!(s) & 0xff) as u8;
-                self.write_bytes(addr, &[v])?;
-                self.quiet_stores += 1;
-            }
-            Jmp { addr } => next_pc = addr,
-            Jr { a } => next_pc = gpr!(a),
-            Jal { d, addr } => {
-                set_gpr!(d, pc + 8);
-                next_pc = addr;
-            }
-            Beq { a, b, addr } => {
-                if gpr!(a) == gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Bne { a, b, addr } => {
-                if gpr!(a) != gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Blt { a, b, addr } => {
-                if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
-            Bge { a, b, addr } => {
-                if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
-            Nop | Work { .. } | Fence => {}
-            _ => return Err(Bail),
-        }
-        self.threads[ti].1.arch.pc = next_pc;
-        Ok(cost)
+    fn fault(&mut self, _: ExceptionKind, _: u64) -> Result<(), Bail> {
+        Err(Bail)
+    }
+
+    fn system(&mut self, _: Inst, _: u64, _: &mut Cycles) -> Result<Option<u64>, Bail> {
+        Err(Bail)
+    }
+
+    fn resident(&self, addr: u64) -> bool {
+        self.w.tlb.contains(0, addr / PAGE_BYTES) && self.w.caches.l1_contains(PAddr(addr).line())
+    }
+
+    fn l1_run(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
+        self.w.caches.l1_access_run_mixed(lines, n)
+    }
+
+    fn commit_block(
+        &mut self,
+        pages: &[(u64, u64)],
+        n: u64,
+        plines: &[PAddr],
+        stores: u64,
+    ) -> bool {
+        let ptid = self.w.threads[self.ti].0;
+        self.w.prefetch.record_run(WatchId(u64::from(ptid)), plines);
+        self.w.quiet_stores += stores;
+        self.w.tlb.access_run(0, pages, n)
+    }
+
+    fn quiet(&self, code: &Code, addr: u64, len: u64) -> bool {
+        let sh = self.w.sh;
+        exec::is_quiet_store(code, sh.filter, sh.mmio_addrs, addr, len)
+    }
+
+    fn scratch(&mut self) -> &mut BlockScratch {
+        &mut self.w.scratch
     }
 }
 
@@ -1315,7 +761,7 @@ impl Machine {
                     .peek_time()
                     .is_some_and(|h| h < serial_floor && h <= t)
             {
-                self.step_one(bound, t);
+                self.step_one(bound, t, None);
                 self.shard_stats.serial_events += 1;
             }
         }
@@ -1373,31 +819,6 @@ impl Machine {
         }
         let cores: Vec<usize> = per_core.keys().map(|&c| c as usize).collect();
 
-        // Small per-core state is cloned.
-        let small: Vec<_> = per_core
-            .into_iter()
-            .map(|(core, evs)| {
-                let c = core as usize;
-                let mut tids: Vec<u32> = self.cores[c].sched.iter_enrolled().map(|p| p.0).collect();
-                tids.sort_unstable();
-                let threads: Vec<(u32, Thread)> = tids
-                    .iter()
-                    .map(|&i| (i, self.threads[i as usize].clone()))
-                    .collect();
-                let prefetch = self
-                    .prefetcher
-                    .core_view(tids.iter().map(|&i| WatchId(u64::from(i))));
-                (
-                    c,
-                    evs,
-                    self.cores[c].clone(),
-                    threads,
-                    self.tlbs[c].clone(),
-                    prefetch,
-                )
-            })
-            .collect();
-
         let staged_total = staged.len() as u64;
         let jobs = self.machine_jobs.min(cores.len());
         let results = {
@@ -1444,31 +865,61 @@ impl Machine {
                 gaps,
                 filter: self.filter.as_ref(),
                 code: &self.code,
-                code_lo: self.code_lo,
-                code_hi: self.code_hi,
                 // Maintained sorted by `register_mmio`; no per-epoch
                 // rebuild.
                 mmio_addrs: &self.mmio_addrs,
                 domains: &self.core_domains,
                 sb_on: self.sb_on,
             };
-            let inputs: Vec<WorkerInput<'_>> = small
+            // Each worker holds its core's small state cloned, its caches
+            // and memory domain borrowed in place under undo journals, and
+            // its staged `(due, staging index, slot)` events.
+            let workers: Vec<Worker<'_>> = per_core
                 .into_iter()
                 .zip(self.hier.core_views(&cores))
-                .map(
-                    |((core, staged, cs, threads, tlb, prefetch), caches)| WorkerInput {
+                .map(|((core, staged), caches)| {
+                    let core = core as usize;
+                    let mut tids: Vec<u32> = self.cores[core]
+                        .sched
+                        .iter_enrolled()
+                        .map(|p| p.0)
+                        .collect();
+                    tids.sort_unstable();
+                    let watches = tids.iter().map(|&i| WatchId(u64::from(i)));
+                    let mut q = LocalQueue::default();
+                    for (at, idx, slot) in staged {
+                        q.push(at, idx, slot);
+                    }
+                    Worker {
+                        sh: &sh,
                         core,
-                        staged,
-                        cs,
-                        threads,
+                        cs: self.cores[core].clone(),
+                        threads: tids
+                            .iter()
+                            .map(|&i| (i, self.threads[i as usize].clone()))
+                            .collect(),
                         caches,
-                        tlb,
-                        prefetch,
+                        tlb: self.tlbs[core].clone(),
+                        prefetch: self.prefetcher.core_view(watches),
                         domain: lent[core].take(),
-                    },
-                )
+                        q,
+                        stash: Vec::new(),
+                        local_now: sh.now0,
+                        created_at: Vec::new(),
+                        hist: [Act::Unknown; ORIGIN_DEPTH],
+                        hist_head: 0,
+                        ran: false,
+                        last_code: 0,
+                        wakes: Vec::new(),
+                        d_dispatches: 0,
+                        d_insts: 0,
+                        d_activate: [0; 4],
+                        quiet_stores: 0,
+                        scratch: BlockScratch::default(),
+                    }
+                })
                 .collect();
-            par_map_owned(jobs, inputs, |_, input| run_worker(&sh, input))
+            par_map_owned(jobs, workers, |_, w| run_worker(w))
         };
 
         let mut oks: Vec<WorkerOk> = Vec::with_capacity(results.len());

@@ -921,3 +921,47 @@ fn migration_to_bad_core_rejected_and_same_core_noop() {
     assert_eq!(same.core, 0);
     assert_eq!(m.counters().get("thread.migrations"), 0);
 }
+
+/// Runs `body` as a user-mode thread at 0x10000 with a descriptor slot
+/// installed; returns the thread's final state and its descriptor.
+fn run_user_until_fault(body: &str) -> (ThreadState, Descriptor) {
+    let mut m = small();
+    let p = assemble(&format!(".base 0x10000\nentry:\n{body}")).unwrap();
+    let tid = m.load_program_user(0, &p).unwrap();
+    let edp = m.alloc(32);
+    m.set_thread_edp(tid, edp);
+    m.start_thread(tid);
+    run(&mut m, 10_000);
+    assert!(
+        m.halted_reason().is_none(),
+        "the fault is delivered, not fatal"
+    );
+    let desc = Descriptor::decode([
+        m.peek_u64(edp),
+        m.peek_u64(edp + 8),
+        m.peek_u64(edp + 16),
+        m.peek_u64(edp + 24),
+    ])
+    .expect("a descriptor was written");
+    (m.thread_state(tid), desc)
+}
+
+#[test]
+fn jump_to_the_top_of_the_address_space_faults_bad_memory() {
+    // pc + 8 overflows u64 at this pc: the fetch bound must not wrap.
+    let (state, desc) = run_user_until_fault("movi r1, -4\njr r1\n");
+    assert_eq!(state, ThreadState::Disabled);
+    assert_eq!(desc.kind, ExceptionKind::BadMemory);
+    assert_eq!(desc.pc, u64::MAX - 3);
+    assert_eq!(desc.info, u64::MAX - 3);
+}
+
+#[test]
+fn monitor_at_the_top_of_the_address_space_faults_bad_memory() {
+    // addr + 8 overflows u64: no watch may be armed.
+    let (state, desc) = run_user_until_fault("movi r1, -4\nmonitor r1\nhalt\n");
+    assert_eq!(state, ThreadState::Disabled);
+    assert_eq!(desc.kind, ExceptionKind::BadMemory);
+    assert_eq!(desc.pc, 0x10008, "the monitor instruction faulted");
+    assert_eq!(desc.info, u64::MAX - 3);
+}

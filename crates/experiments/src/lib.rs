@@ -3,8 +3,8 @@
 //! [`run_cli`].
 //!
 //! ```text
-//! experiments all [--quick] [--jobs N] [--out DIR]   # run everything
-//! experiments f1 f7 [--quick]                        # run selected experiments
+//! experiments all [--jobs N] [--out DIR]           # run everything
+//! experiments f1 f7 --quick --out DIR                # fast smoke run
 //! experiments f15 --machine-jobs 4                   # epoch engine on 4 host threads
 //! experiments list                                   # list experiment ids
 //! experiments --soak 100 [--soak-seed S] [--quick]   # chaos soak, invariants on
@@ -12,7 +12,9 @@
 //! ```
 //!
 //! Each experiment prints its table(s) and writes CSV files under
-//! `results/` (or `--out DIR`).
+//! `results/` (or `--out DIR`). A `--quick` run shortens every
+//! experiment, so it must name `--out`: its CSVs never overwrite the
+//! committed `results/` tree.
 //!
 //! **Parallelism and determinism.** `--jobs N` (or `SWITCHLESS_JOBS`;
 //! default: host parallelism) runs independent experiments — and the load
@@ -220,8 +222,8 @@ pub struct Cli {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for an unknown flag or a malformed
-/// flag value.
+/// Returns a human-readable message for an unknown flag, a malformed
+/// flag value, or a `--quick` experiment run without `--out`.
 pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         soak_seed: 1,
@@ -281,6 +283,11 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
         } else {
             cli.selected.push(a.clone());
         }
+    }
+    let writes_csvs =
+        cli.soak.is_none() && cli.replay.is_none() && !cli.selected.iter().any(|s| s == "list");
+    if cli.quick && writes_csvs && cli.out.is_none() {
+        return Err("--quick needs --out DIR: quick CSVs must not overwrite results/".to_owned());
     }
     Ok(cli)
 }
@@ -456,6 +463,18 @@ mod tests {
         assert!(parse(&["--machine-jobs", "0"]).is_err());
         assert!(parse(&["--machine-jobs", "four"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn parse_cli_quick_needs_out_unless_it_writes_no_csvs() {
+        let err = parse(&["f16", "--quick"]).unwrap_err();
+        assert!(err.contains("--out"), "{err}");
+        assert!(parse(&["all", "--quick"]).is_err());
+        assert!(parse(&["--quick"]).is_err());
+        assert!(parse(&["f16", "--quick", "--out", "/tmp/x"]).is_ok());
+        assert!(parse(&["--soak", "3", "--quick"]).is_ok());
+        assert!(parse(&["--replay", "storm.txt", "--quick"]).is_ok());
+        assert!(parse(&["list", "--quick"]).is_ok());
     }
 
     #[test]

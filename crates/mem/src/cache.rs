@@ -178,53 +178,22 @@ impl Cache {
         false
     }
 
-    /// Applies a pre-computed run of `n` sequential read hits — the
-    /// instruction-fetch stream of one superblock — as a single batch.
+    /// Applies a pre-computed run of `n` sequential hits as one batch:
+    /// the merged fetch+data access stream of one superblock, reads and
+    /// writes mixed.
     ///
-    /// `lines` holds each distinct line the run touches together with
-    /// the 1-based index of its **last** access within the run. Because
-    /// LRU stamps are absolute `tick` values, `n` sequential hits leave
-    /// each line stamped `tick + last_index`, the tick advanced by `n`,
-    /// and `n` extra hits — so the batch reproduces `access()` called
-    /// `n` times bit-for-bit in O(lines) instead of O(n).
+    /// `lines` holds each distinct line with the 1-based index of its
+    /// **last** access within the run and the OR of the `write` flags of
+    /// every access that touched it. Because LRU stamps are absolute
+    /// `tick` values, `n` sequential all-hit `access()` calls leave each
+    /// line stamped `tick + last_index` with `dirty |= any_write`, the
+    /// tick advanced by `n`, and `n` extra hits — so this reproduces the
+    /// per-access path bit-for-bit in O(lines) instead of O(n).
     ///
     /// Returns `false` — and mutates nothing — unless every line is
     /// resident: a miss anywhere in the run must be modelled by the
     /// caller's per-access path (fills, latency, eviction order all
     /// depend on where in the stream it lands).
-    pub fn access_run(&mut self, lines: &[(PAddr, u64)], n: u64) -> bool {
-        if !lines.iter().all(|&(a, _)| self.contains(a)) {
-            return false;
-        }
-        for &(addr, last) in lines {
-            let tag = addr.0 / LINE_BYTES;
-            let range = self.set_range(addr);
-            for w in &mut self.ways[range] {
-                if w.valid && w.tag == tag {
-                    w.stamp = self.tick + last;
-                    break;
-                }
-            }
-        }
-        self.tick += n;
-        self.hits += n;
-        true
-    }
-
-    /// Write-aware batch hit path: applies a pre-computed run of `n`
-    /// sequential hits that mixes reads and writes — the merged
-    /// fetch+data access stream of one memory-inclusive superblock.
-    ///
-    /// `lines` holds each distinct line with the 1-based index of its
-    /// **last** access within the run and the OR of the `write` flags of
-    /// every access that touched it. `n` sequential all-hit `access()`
-    /// calls leave each line stamped `tick + last_index` with
-    /// `dirty |= any_write`, the tick advanced by `n`, and `n` extra
-    /// hits — so this reproduces the per-access path bit-for-bit in
-    /// O(lines) instead of O(n).
-    ///
-    /// Returns `false` — and mutates nothing — unless every line is
-    /// resident, exactly like [`Cache::access_run`].
     pub fn access_run_mixed(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
         if !lines.iter().all(|&(a, _, _)| self.contains(a)) {
             return false;
@@ -474,14 +443,6 @@ impl<'a> JournaledCache<'a> {
         self.cache.contains(addr)
     }
 
-    /// [`Cache::access_run`], journaled.
-    pub fn access_run(&mut self, lines: &[(PAddr, u64)], n: u64) -> bool {
-        for &(a, _) in lines {
-            self.journal.save(self.cache, a);
-        }
-        self.cache.access_run(lines, n)
-    }
-
     /// [`Cache::access_run_mixed`], journaled.
     pub fn access_run_mixed(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
         for &(a, _, _) in lines {
@@ -508,7 +469,7 @@ mod tests {
             assert!(!jc.access(addr(2, 3), false));
             assert_eq!(jc.fill(addr(1, 2), PartitionId(7), false), None);
             assert!(jc.fill(addr(1, 3), PartitionId(7), false).is_some());
-            assert!(jc.access_run(&[(addr(0, 1), 1)], 1));
+            assert!(jc.access_run_mixed(&[(addr(0, 1), 1, false)], 1));
         }
         j.rollback(&mut c);
         assert_eq!(
@@ -668,35 +629,6 @@ mod tests {
         c.fill(a, PartitionId::DEFAULT, true);
         assert_eq!(c.invalidate(a), Some(Writeback { line: a.line() }));
         assert_eq!(c.invalidate(a), None);
-    }
-
-    #[test]
-    fn access_run_matches_sequential_accesses_exactly() {
-        let mut a = tiny();
-        for s in 0..4 {
-            a.fill(addr(s, 0), PartitionId::DEFAULT, false);
-        }
-        let mut b = a.clone();
-        // A fetch stream touching lines (0,0) x3, (1,0) x2, (0,0) again:
-        // 6 accesses; last indices 6 and 5.
-        for &(s, _) in &[(0, 1u64), (0, 2), (0, 3), (1, 4), (1, 5), (0, 6)] {
-            assert!(a.access(addr(s, 0), false));
-        }
-        let lines = [(addr(0, 0), 6u64), (addr(1, 0), 5)];
-        assert!(b.access_run(&lines, 6));
-        // `Cache` derives `Debug` over every field (ways with stamps,
-        // tick, stats): textual equality is full state equality.
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn access_run_refuses_non_resident_line_untouched() {
-        let mut c = tiny();
-        c.fill(addr(0, 0), PartitionId::DEFAULT, false);
-        let before = format!("{c:?}");
-        let lines = [(addr(0, 0), 1u64), (addr(1, 0), 2)];
-        assert!(!c.access_run(&lines, 2), "line (1,0) is not resident");
-        assert_eq!(format!("{c:?}"), before, "a refused run must not mutate");
     }
 
     #[test]

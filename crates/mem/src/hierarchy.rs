@@ -174,15 +174,9 @@ impl CoreCaches<'_> {
         self.l1.contains(addr)
     }
 
-    /// Applies a superblock's fetch stream against the view's L1 as one
-    /// batch (see [`Cache::access_run`]): `false` — and no mutation —
-    /// unless every line is L1-resident.
-    pub fn l1_access_run(&mut self, lines: &[(PAddr, u64)], n: u64) -> bool {
-        self.l1.access_run(lines, n)
-    }
-
-    /// Applies a memory-inclusive superblock's merged fetch+data stream
-    /// against the view's L1 as one batch (see
+    /// Applies a superblock's L1 access stream (its fetches, merged with
+    /// its data accesses in a memory block) against the view's L1 as one
+    /// batch (see
     /// [`Cache::access_run_mixed`]): `false` — and no mutation — unless
     /// every line is L1-resident.
     pub fn l1_access_run_mixed(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
@@ -395,19 +389,9 @@ impl Hierarchy {
         self.l1[core].contains(addr)
     }
 
-    /// Applies a superblock's fetch stream against `core`'s L1 as one
-    /// batch (see [`Cache::access_run`]): `false` — and no mutation —
-    /// unless every line is L1-resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn l1_access_run(&mut self, core: usize, lines: &[(PAddr, u64)], n: u64) -> bool {
-        self.l1[core].access_run(lines, n)
-    }
-
-    /// Applies a memory-inclusive superblock's merged fetch+data stream
-    /// against `core`'s L1 as one batch (see
+    /// Applies a superblock's L1 access stream (its fetches, merged with
+    /// its data accesses in a memory block) against `core`'s L1 as one
+    /// batch (see
     /// [`Cache::access_run_mixed`]): `false` — and no mutation — unless
     /// every line is L1-resident.
     ///

@@ -23,6 +23,10 @@
 #            --jobs 4; one --quick run with --machine-jobs 2 keeps
 #            host-threaded epochs diffed too (the epoch engine may only
 #            change wall-clock time, never results)
+#   golden   the committed results/ tree is what a fresh full run
+#            produces: every results/*.csv byte-matches the full
+#            default-engine run above, and results/full_run.txt matches
+#            its log with the volatile lines stripped
 #   sblocks  superblock-determinism check: the suite with the
 #            superblock engine disabled (SWITCHLESS_SUPERBLOCKS=0) must
 #            write results/ trees bit-identical to the default-on runs
@@ -140,13 +144,27 @@ step "engine determinism (SWITCHLESS_ENGINE=serial vs default, full)"
 mf1=target/ci-results-default-full
 mfs=target/ci-results-serial-full
 rm -rf "$mf1" "$mfs"
-cargo run -q --release -p switchless-experiments -- all --out "$mf1" >/dev/null
+mflog="$(cargo run -q --release -p switchless-experiments -- all --out "$mf1")"
 SWITCHLESS_ENGINE=serial cargo run -q --release -p switchless-experiments -- all --out "$mfs" >/dev/null
 if ! diff -r "$mf1" "$mfs"; then
     echo "FAIL: results/ trees differ between the default engine and SWITCHLESS_ENGINE=serial (full)" >&2
     exit 1
 fi
 echo "engine determinism (full): identical results/ trees"
+
+step "golden results (committed results/ vs the full default-engine run)"
+if ! diff -r -x full_run.txt results "$mf1"; then
+    echo "FAIL: committed results/ CSVs differ from a fresh full run" >&2
+    exit 1
+fi
+gold="$(strip_volatile < results/full_run.txt)"
+fresh="$(printf '%s\n' "$mflog" | strip_volatile)"
+if [ "$gold" != "$fresh" ]; then
+    echo "FAIL: results/full_run.txt differs from a fresh full run's log" >&2
+    diff <(printf '%s\n' "$gold") <(printf '%s\n' "$fresh") >&2 || true
+    exit 1
+fi
+echo "golden results: committed CSVs and full_run.txt match a fresh full run"
 
 step "superblock determinism (SWITCHLESS_SUPERBLOCKS=0 vs default-on, --quick)"
 sbq=target/ci-results-nosb-quick
