@@ -147,13 +147,14 @@ fn bench_spin(window_ms: u64) -> f64 {
     })
 }
 
-/// `bench_spin` with the superblock engine disabled: the per-inst
+/// `bench_spin` on the pinned reference engine, which on this 1-core
+/// machine is the same serial loop with no superblocks: the per-inst
 /// single-step burst path. Keeping this measured guards the fallback
 /// path (everything that is not a hot inert loop) against regressions
 /// the superblock numbers would mask.
 fn bench_spin_nosb(window_ms: u64) -> f64 {
     let mut m = spin_machine(MachineConfig::small());
-    m.set_superblocks(false);
+    m.set_serial_engine(true);
     measure(window_ms, || {
         let before = m.counters().get("inst.executed");
         m.run_for(Cycles(200_000));

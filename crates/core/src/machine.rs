@@ -399,24 +399,40 @@ impl Ev {
 /// the queue.
 pub(crate) const MAX_BURST: u64 = 1024;
 
-/// Process-wide defaults of the host-side engine knobs, read once from
-/// the environment, as `(superblocks, mem_superblocks, serial_engine)`:
-/// `SWITCHLESS_SUPERBLOCKS` and `SWITCHLESS_MEM_SUPERBLOCKS` disable on
-/// `0`/`off`/`false` and enable on anything else or when unset
-/// (DESIGN.md §10); `SWITCHLESS_ENGINE=serial` pins every machine to the
-/// serial reference loop (DESIGN.md §9). Like `MAX_BURST` these are
-/// wall-clock knobs only: simulated state is bit-identical either way.
-fn env_knobs() -> (bool, bool, bool) {
-    static KNOBS: std::sync::OnceLock<(bool, bool, bool)> = std::sync::OnceLock::new();
-    *KNOBS.get_or_init(|| {
-        let var = |name| std::env::var(name).unwrap_or_default();
-        let on = |name| !matches!(var(name).as_str(), "0" | "off" | "false");
-        let serial = var("SWITCHLESS_ENGINE") == "serial";
-        (
-            on("SWITCHLESS_SUPERBLOCKS"),
-            on("SWITCHLESS_MEM_SUPERBLOCKS"),
-            serial,
-        )
+/// The environment variable that pins every machine to the serial
+/// reference engine (DESIGN.md §9).
+const ENGINE_ENV: &str = "SWITCHLESS_ENGINE";
+
+/// Parses a raw `SWITCHLESS_ENGINE` value: unset or empty selects the
+/// default engine (`false`), `serial` pins the reference engine (`true`).
+///
+/// # Errors
+///
+/// Returns a message naming the variable, the accepted values and the
+/// rejected value. A silently ignored typo would turn an engine diff
+/// into a default-vs-default comparison.
+fn parse_engine_env(raw: &str) -> Result<bool, String> {
+    match raw.trim() {
+        "" => Ok(false),
+        "serial" => Ok(true),
+        v => Err(format!(
+            "{ENGINE_ENV} must be unset, empty or \"serial\", got {v:?}"
+        )),
+    }
+}
+
+/// Process-wide default of [`Machine::set_serial_engine`], read once
+/// from `SWITCHLESS_ENGINE`. Like `MAX_BURST` this is a wall-clock knob
+/// only: simulated state is bit-identical either way.
+///
+/// # Panics
+///
+/// Panics on a value [`parse_engine_env`] rejects.
+fn env_serial_engine() -> bool {
+    static SERIAL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *SERIAL.get_or_init(|| {
+        let raw = std::env::var(ENGINE_ENV).unwrap_or_default();
+        parse_engine_env(&raw).unwrap_or_else(|msg| panic!("{msg}"))
     })
 }
 
@@ -520,7 +536,8 @@ pub struct Machine {
     device_ledgers: Vec<(&'static str, Ledger)>,
     /// Host threads for the core-sharded epoch engine; 1 = inline.
     pub(crate) machine_jobs: usize,
-    /// Pins the serial reference loop even on multi-core machines.
+    /// Pins the reference engine: the serial loop even on multi-core
+    /// machines, and every instruction single-stepped (no superblocks).
     pub(crate) serial_engine: bool,
     /// Host-declared per-core private data windows `(base, len)` for the
     /// epoch engine ([`Machine::set_core_domain`]). A worker may execute
@@ -535,14 +552,6 @@ pub struct Machine {
     pub(crate) epoch_len: Cycles,
     /// Host-side statistics for the sharded engine.
     pub(crate) shard_stats: ShardStats,
-    /// Whether the superblock engine may form and execute pre-costed
-    /// regions (DESIGN.md §10). Host-side only: simulated state is
-    /// bit-identical either way.
-    pub(crate) sb_on: bool,
-    /// Whether region formation may admit local-effect loads/stores
-    /// (memory-inclusive superblocks, DESIGN.md §10). Host-side only:
-    /// simulated state is bit-identical either way.
-    pub(crate) sb_mem_on: bool,
     /// Sorted MMIO hook addresses, maintained by [`Machine::register_mmio`].
     /// The quiet-store test binary-searches this instead of scanning the
     /// hook map, and the shard engine borrows it per epoch.
@@ -591,7 +600,6 @@ impl Machine {
         };
         let mut counters = Counters::new();
         let hot = HotCounters::new(&mut counters);
-        let (sb_on, sb_mem_on, serial_engine) = env_knobs();
         Machine {
             cfg,
             now: Cycles::ZERO,
@@ -640,13 +648,11 @@ impl Machine {
             exc_ledger: Ledger::default(),
             device_ledgers: Vec::new(),
             machine_jobs: 1,
-            serial_engine,
+            serial_engine: env_serial_engine(),
             core_domains: vec![None; cfg.cores],
             domain_journals: vec![Default::default(); cfg.cores],
             epoch_len: Cycles(64),
             shard_stats: ShardStats::default(),
-            sb_on,
-            sb_mem_on,
             mmio_addrs: Vec::new(),
             block_scratch: BlockScratch::default(),
         }
@@ -703,54 +709,23 @@ impl Machine {
         self.machine_jobs
     }
 
-    /// Pins the serial reference loop (`true`) or lets multi-core
-    /// machines run on the epoch engine (`false`, the default unless
-    /// `SWITCHLESS_ENGINE=serial`). Single-core machines and machines
-    /// with the invariant checker on always run serially. Purely a
+    /// Pins the reference engine (`true`) or lets the machine run on the
+    /// default engine (`false`, the default unless
+    /// `SWITCHLESS_ENGINE=serial`). The reference engine is the serial
+    /// event loop with every instruction sent through `exec::step`: no
+    /// superblock is formed or entered (bursts stay). The default engine
+    /// runs multi-core machines on the epoch engine and executes formed
+    /// superblocks; single-core machines and machines with the invariant
+    /// checker on run its serial loop, still with superblocks. Purely a
     /// wall-clock knob: both engines produce bit-identical state.
     pub fn set_serial_engine(&mut self, on: bool) {
         self.serial_engine = on;
     }
 
-    /// Whether the serial reference loop is pinned.
+    /// Whether the reference engine is pinned.
     #[must_use]
     pub fn serial_engine(&self) -> bool {
         self.serial_engine
-    }
-
-    /// Enables or disables the superblock engine (DESIGN.md §10).
-    /// Defaults to the `SWITCHLESS_SUPERBLOCKS` environment variable
-    /// (`0`/`off`/`false` disable; anything else, or unset, enables).
-    /// The simulated outcome is bit-identical either way — superblocks
-    /// only batch work the single-step path would perform anyway — so
-    /// this is purely a wall-clock knob.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.sb_on = on;
-    }
-
-    /// Whether the superblock engine is enabled.
-    #[must_use]
-    pub fn superblocks(&self) -> bool {
-        self.sb_on
-    }
-
-    /// Enables or disables memory-inclusive superblock formation
-    /// (DESIGN.md §10, "memory-inclusive regions"). Defaults to the
-    /// `SWITCHLESS_MEM_SUPERBLOCKS` environment variable (`0`/`off`/
-    /// `false` restrict regions to pure register code; anything else, or
-    /// unset, admits local-effect loads/stores). Purely a wall-clock
-    /// knob: a memory block executes only when its whole batched effect
-    /// is provably what single-stepping would produce, and bails to the
-    /// single-step path otherwise, so the simulated outcome is
-    /// bit-identical either way.
-    pub fn set_mem_superblocks(&mut self, on: bool) {
-        self.sb_mem_on = on;
-    }
-
-    /// Whether memory-inclusive superblock formation is enabled.
-    #[must_use]
-    pub fn mem_superblocks(&self) -> bool {
-        self.sb_mem_on
     }
 
     /// Declares `[base, base + len)` as `core`'s private data window for
@@ -1905,13 +1880,14 @@ impl Machine {
                 // covers every interior cursor (`busy_until <= done`
                 // stays true as `done` only grows). Any failed
                 // precondition falls back to the single-step path below —
-                // never a burst exit.
-                if self.sb_on {
+                // never a burst exit. The pinned reference engine takes
+                // that path for every instruction.
+                if !self.serial_engine {
                     let pc = self.threads[ptid.0 as usize].arch.pc;
                     let via_jump = pc != seq_pc;
                     seq_pc = pc.saturating_add(8);
                     let (code, hint) = (&mut self.code, &mut self.last_code);
-                    let entered = via_jump.then(|| code.enter(hint, pc, self.sb_mem_on));
+                    let entered = via_jump.then(|| code.enter(hint, pc));
                     if let Some((ri, bi)) = entered.flatten() {
                         let b = self.code.block(ri, bi);
                         let (bcost, last_cost) = b.dyn_cost(self.cfg.hierarchy.lat_l1);
@@ -2417,5 +2393,28 @@ impl core::fmt::Debug for Machine {
             .field("threads", &self.threads.len())
             .field("halted", &self.halted)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_engine_env_accepts_unset_empty_and_serial() {
+        assert_eq!(parse_engine_env(""), Ok(false));
+        assert_eq!(parse_engine_env("   "), Ok(false));
+        assert_eq!(parse_engine_env("serial"), Ok(true));
+        assert_eq!(parse_engine_env(" serial "), Ok(true));
+    }
+
+    #[test]
+    fn parse_engine_env_rejects_other_values() {
+        for bad in ["Serial", "SERIAL", "serial2", "epoch", "default", "0", "1"] {
+            let err = parse_engine_env(bad).unwrap_err();
+            assert!(err.contains(ENGINE_ENV), "{err}");
+            assert!(err.contains("\"serial\""), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
     }
 }

@@ -15,11 +15,10 @@
 //! pays one table read and nothing else. Regions end at the first
 //! instruction that could raise, trap, or otherwise schedule/observe
 //! anything ([`Inst::is_inert`] is the whitelist, extended by
-//! local-effect loads/stores — [`Inst::is_local_mem`] — when
-//! memory-inclusive formation is enabled); an unconditional jump back
-//! to the region's own entry — the shape of every spin/compute loop —
-//! is unrolled up to [`SB_MAX_LEN`] instructions, since its interior
-//! control flow is statically known.
+//! local-effect loads/stores — [`Inst::is_local_mem`]); an
+//! unconditional jump back to the region's own entry — the shape of
+//! every spin/compute loop — is unrolled up to [`SB_MAX_LEN`]
+//! instructions, since its interior control flow is statically known.
 //!
 //! [inert]: Inst::is_inert
 
@@ -89,21 +88,13 @@ pub(crate) struct Superblock {
 /// returns `None` when the region is not worth caching. `base` is the
 /// image base address; `insts` its decoded words.
 ///
-/// With `allow_mem` set, local-effect loads and stores
-/// ([`Inst::is_local_mem`]) are admitted alongside inert instructions —
-/// the memory-inclusive regions of DESIGN.md §10. Their effective
-/// addresses are data-dependent, so the block records only the *count*
-/// of data accesses; the executing engine resolves the data footprint at
-/// run time and bails to single-step on any non-local effect. With
-/// `allow_mem` clear (SWITCHLESS_MEM_SUPERBLOCKS=0) formation is
-/// bit-identical to the pure-register engine: a memory instruction ends
-/// the region.
-pub(crate) fn form(
-    base: u64,
-    insts: &[Option<Inst>],
-    slot: usize,
-    allow_mem: bool,
-) -> Option<Superblock> {
+/// Local-effect loads and stores ([`Inst::is_local_mem`]) are admitted
+/// alongside inert instructions — the memory-inclusive regions of
+/// DESIGN.md §10. Their effective addresses are data-dependent, so the
+/// block records only the *count* of data accesses; the executing engine
+/// resolves the data footprint at run time and bails to single-step on
+/// any non-local effect.
+pub(crate) fn form(base: u64, insts: &[Option<Inst>], slot: usize) -> Option<Superblock> {
     let entry_pc = base + 8 * slot as u64;
     let mut seq: Vec<Inst> = Vec::new();
     let mut terminal: Option<Inst> = None;
@@ -114,7 +105,7 @@ pub(crate) fn form(
         // A non-decoding word ends the region (the slow path re-raises
         // the precise exception; it can never be inside a block).
         let Some(i) = *w else { break };
-        if i.is_inert() || (allow_mem && i.is_local_mem()) {
+        if i.is_inert() || i.is_local_mem() {
             seq.push(i);
         } else if i.is_region_terminal() {
             terminal = Some(i);
@@ -309,18 +300,13 @@ impl Code {
     /// slot [`SB_DEAD`] when no worthwhile region starts there).
     /// Formation is driven purely by observed execution heat — no static
     /// configuration (cf. "Switchless Calls Made Configless").
-    pub(crate) fn enter(
-        &mut self,
-        hint: &mut usize,
-        pc: u64,
-        allow_mem: bool,
-    ) -> Option<(usize, usize)> {
+    pub(crate) fn enter(&mut self, hint: &mut usize, pc: u64) -> Option<(usize, usize)> {
         let (ri, slot) = self.slot(hint, pc)?;
         let r = &mut self.ranges[ri];
         match r.sb[slot] {
             SB_DEAD => None,
             x if x >= SB_FORMED => Some((ri, (x & !SB_FORMED) as usize)),
-            heat if heat + 1 >= SB_HOT => match form(r.base, &r.insts, slot, allow_mem) {
+            heat if heat + 1 >= SB_HOT => match form(r.base, &r.insts, slot) {
                 Some(b) => {
                     let bi = match r.sb_free.pop() {
                         Some(i) => {
@@ -419,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn region_stops_before_memory_and_trap_ops() {
+    fn region_admits_stores_and_stops_before_trap_ops() {
         let (base, insts) = decoded(
             ".base 0x1000\n\
              entry: addi r1, r1, 1\n\
@@ -429,15 +415,24 @@ mod tests {
              st r1, r5, 0\n\
              halt\n",
         );
-        let b = form(base, &insts, 0, false).expect("four inert insts form");
-        assert_eq!(b.len_slots, 4);
-        assert_eq!(b.insts.len(), 4);
-        // 1 + 1 + 1 + 3 (mul).
-        assert_eq!(b.cost, Cycles(6));
-        assert_eq!(b.dyn_cost(Cycles(4)), (Cycles(6), Cycles(3)));
+        let b = form(base, &insts, 0).expect("four inert insts and a store form");
+        assert_eq!(
+            b.len_slots, 5,
+            "the store is admitted; halt ends the region"
+        );
+        assert_eq!(b.insts.len(), 5);
+        assert_eq!(b.mem_ops, 1);
+        // 1 + 1 + 1 + 3 (mul) + 1 (st).
+        assert_eq!(b.cost, Cycles(7));
+        // One L1 hit on top, paid by the final store.
+        assert_eq!(b.dyn_cost(Cycles(4)), (Cycles(11), Cycles(5)));
         assert_eq!(b.touched, 0b11110);
-        // Starting *at* the store: not a region.
-        assert!(form(base, &insts, 4, false).is_none());
+        // Fetches at 1-5, the store's data access at 6.
+        assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 5, false)]);
+        // Starting *at* the store: halt ends it at length 1 < MIN.
+        assert!(form(base, &insts, 4).is_none());
+        // Starting at halt: not a region.
+        assert!(form(base, &insts, 5).is_none());
     }
 
     #[test]
@@ -448,7 +443,7 @@ mod tests {
              addi r2, r2, 2\n\
              halt\n",
         );
-        assert!(form(base, &insts, 0, false).is_none(), "2 < SB_MIN_LEN");
+        assert!(form(base, &insts, 0).is_none(), "2 < SB_MIN_LEN");
     }
 
     #[test]
@@ -460,7 +455,7 @@ mod tests {
              xor r3, r2, r1\n\
              jmp loop\n",
         );
-        let b = form(base, &insts, 0, false).expect("self-loop forms");
+        let b = form(base, &insts, 0).expect("self-loop forms");
         assert_eq!(b.len_slots, 4);
         assert_eq!(b.insts.len(), 256, "unrolled to SB_MAX_LEN / 4 copies");
         assert_eq!(b.cost, Cycles(256));
@@ -484,7 +479,7 @@ mod tests {
              jmp entry2\n\
              entry2: halt\n",
         );
-        let b = form(base, &insts, 0, false).expect("jmp-closed region forms");
+        let b = form(base, &insts, 0).expect("jmp-closed region forms");
         assert_eq!(b.insts.len(), 4);
         let mut gprs = [0u64; 16];
         let exit = exec_regs(&b.insts, &mut gprs, base);
@@ -501,7 +496,7 @@ mod tests {
              bne r1, r4, entry\n\
              halt\n",
         );
-        let b = form(base, &insts, 0, false).expect("branch-closed region forms");
+        let b = form(base, &insts, 0).expect("branch-closed region forms");
         assert_eq!(b.insts.len(), 4);
         let mut gprs = [0u64; 16];
         // r1 becomes 1 != r4 (0): branch taken, back to entry.
@@ -521,7 +516,7 @@ mod tests {
         }
         src.push_str("halt\n");
         let (base, insts) = decoded(&src);
-        let b = form(base, &insts, 0, false).expect("9 inert insts form");
+        let b = form(base, &insts, 0).expect("9 inert insts form");
         assert_eq!(
             b.lines.as_slice(),
             &[(PAddr(0x1000), 8, false), (PAddr(0x1040), 9, false)]
@@ -529,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_mem_admits_loads_and_stores() {
+    fn loads_and_stores_are_admitted() {
         let (base, insts) = decoded(
             ".base 0x1000\n\
              entry: addi r1, r1, 1\n\
@@ -538,9 +533,7 @@ mod tests {
              st r2, r5, 0\n\
              halt\n",
         );
-        // Without allow_mem the load ends the region at length 1 < MIN.
-        assert!(form(base, &insts, 0, false).is_none());
-        let b = form(base, &insts, 0, true).expect("mem region forms");
+        let b = form(base, &insts, 0).expect("mem region forms");
         assert_eq!(b.len_slots, 4);
         assert_eq!(b.mem_ops, 2);
         assert_eq!(b.cost, Cycles(4), "base costs only; latency is dynamic");
@@ -561,7 +554,7 @@ mod tests {
              st r1, r5, 8\n\
              jmp loop\n",
         );
-        let b = form(base, &insts, 0, true).expect("store loop forms");
+        let b = form(base, &insts, 0).expect("store loop forms");
         assert_eq!(b.len_slots, 3);
         assert_eq!(b.insts.len(), 255, "85 copies of 3");
         assert_eq!(b.mem_ops, 170);
@@ -574,23 +567,5 @@ mod tests {
         // positions; the last access of the single fetch line is the
         // final jump's fetch at position 425.
         assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 425, false)]);
-    }
-
-    #[test]
-    fn pure_blocks_are_identical_with_and_without_allow_mem() {
-        let (base, insts) = decoded(
-            ".base 0x1000\n\
-             loop: addi r1, r1, 1\n\
-             addi r2, r1, 3\n\
-             xor r3, r2, r1\n\
-             jmp loop\n",
-        );
-        let a = form(base, &insts, 0, false).expect("forms");
-        let b = form(base, &insts, 0, true).expect("forms");
-        assert_eq!(a.insts.len(), b.insts.len());
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.lines, b.lines);
-        assert_eq!(b.mem_ops, 0);
-        assert_eq!(a.dyn_cost(Cycles(4)), b.dyn_cost(Cycles(4)));
     }
 }

@@ -43,9 +43,9 @@
 //!   place splits differently (at `B`) without divergence.
 //!
 //! Without [`Machine::set_core_domain`] every store bails, so the engine
-//! degrades to serial replay with bounded retry cost. The serial engine
-//! remains the reference oracle ([`Machine::set_serial_engine`],
-//! `SWITCHLESS_ENGINE=serial`).
+//! degrades to serial replay with bounded retry cost. The reference
+//! oracle is the serial loop single-stepping every instruction
+//! ([`Machine::set_serial_engine`], `SWITCHLESS_ENGINE=serial`).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -191,13 +191,6 @@ struct Shared<'a> {
     mmio_addrs: &'a [u64],
     /// Every core's registered domain, for the overlap check.
     domains: &'a [Option<(u64, u64)>],
-    /// Whether workers may consume formed superblocks (read-only: heat
-    /// bumping and formation stay in the serial engine, since `code` is
-    /// shared across worker threads). Which engine happens to use a
-    /// block is invisible — block execution is effect-identical to
-    /// single-stepping — so serial/sharded stay bit-identical even when
-    /// their block usage differs.
-    sb_on: bool,
 }
 
 /// A successful worker's output, spliced back verbatim at commit.
@@ -498,34 +491,37 @@ impl Worker<'_> {
             // Superblock fast path, as in the serial engine (DESIGN.md
             // §10), with the epoch horizon as the extra bound on the final
             // dispatch cursor. Workers only consume blocks the serial
-            // engine has already formed. Any failed precondition
+            // engine has already formed (read-only: heat bumping and
+            // formation stay in the serial engine, since `code` is shared
+            // across worker threads). Which engine happens to use a block
+            // is invisible — block execution is effect-identical to
+            // single-stepping — so the engines stay bit-identical even
+            // when their block usage differs. Any failed precondition
             // single-steps — never a burst exit.
-            if self.sh.sb_on {
-                let pc = self.threads[ti].1.arch.pc;
-                let via_jump = pc != seq_pc;
-                seq_pc = pc.saturating_add(8);
-                let code = self.sh.code;
-                let formed = via_jump.then(|| code.formed(&mut self.last_code, pc));
-                if let Some((ri, bi)) = formed.flatten() {
-                    let b = code.block(ri, bi);
-                    let (bcost, last_cost) = b.dyn_cost(self.sh.cfg.hierarchy.lat_l1);
-                    // As in the serial engine, `extra` may overshoot
-                    // `MAX_BURST` by at most one block.
-                    let d_last = done + bcost - last_cost;
-                    if d_last <= self.sh.t
-                        && d_last < self.sh.b
-                        && self.lift_siblings(slot, &mut qmin, d_last)
-                        && exec::run_block(&mut Cpu { w: self, ti }, code, ri, bi)
-                    {
-                        self.act(Act::Block(ri, bi, d_last));
-                        self.ran = true;
-                        self.local_now = d_last;
-                        done += bcost;
-                        burst_cost += bcost;
-                        extra += b.insts.len() as u64;
-                        seq_pc = u64::MAX;
-                        continue 'burst;
-                    }
+            let pc = self.threads[ti].1.arch.pc;
+            let via_jump = pc != seq_pc;
+            seq_pc = pc.saturating_add(8);
+            let code = self.sh.code;
+            let formed = via_jump.then(|| code.formed(&mut self.last_code, pc));
+            if let Some((ri, bi)) = formed.flatten() {
+                let b = code.block(ri, bi);
+                let (bcost, last_cost) = b.dyn_cost(self.sh.cfg.hierarchy.lat_l1);
+                // As in the serial engine, `extra` may overshoot
+                // `MAX_BURST` by at most one block.
+                let d_last = done + bcost - last_cost;
+                if d_last <= self.sh.t
+                    && d_last < self.sh.b
+                    && self.lift_siblings(slot, &mut qmin, d_last)
+                    && exec::run_block(&mut Cpu { w: self, ti }, code, ri, bi)
+                {
+                    self.act(Act::Block(ri, bi, d_last));
+                    self.ran = true;
+                    self.local_now = d_last;
+                    done += bcost;
+                    burst_cost += bcost;
+                    extra += b.insts.len() as u64;
+                    seq_pc = u64::MAX;
+                    continue 'burst;
                 }
             }
             self.act(Act::At(done));
@@ -869,7 +865,6 @@ impl Machine {
                 // rebuild.
                 mmio_addrs: &self.mmio_addrs,
                 domains: &self.core_domains,
-                sb_on: self.sb_on,
             };
             // Each worker holds its core's small state cloned, its caches
             // and memory domain borrowed in place under undo journals, and

@@ -7,22 +7,21 @@
 //! block-overlap kill can catch it), with execution falling back to
 //! single-step over the patched words.
 //!
-//! Each test force-enables the engine with `set_superblocks(true)` so
-//! the scenario is exercised regardless of the `SWITCHLESS_SUPERBLOCKS`
-//! environment: first a hot inert loop runs long enough to be formed
-//! (well past the heat threshold), then the mutation lands, then the
-//! patched behavior must be observed. With a stale block the loop
-//! would keep replaying the old instructions and every assertion below
-//! would fail.
+//! Each test first runs a hot inert loop long enough to be formed (well
+//! past the heat threshold), then lands the mutation, then requires the
+//! patched behavior. With a stale block the loop would keep replaying
+//! the old instructions and every assertion below would fail.
 
 use switchless_core::machine::{Machine, MachineConfig};
 use switchless_core::tid::ThreadState;
 use switchless_isa::asm::assemble;
 use switchless_sim::time::Cycles;
 
+/// A machine on the default engine, which forms superblocks, whatever
+/// `SWITCHLESS_ENGINE` says.
 fn small_sb() -> Machine {
     let mut m = Machine::new(MachineConfig::small());
-    m.set_superblocks(true);
+    m.set_serial_engine(false);
     m
 }
 

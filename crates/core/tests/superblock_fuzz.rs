@@ -2,11 +2,13 @@
 //! programs — inert ALU runs, bounded loops (the shape that forms
 //! superblocks), data stores, and self-modifying stores that splat
 //! random words over the program's own first slots — run on two
-//! machines that differ *only* in the superblock toggle. Final machine
+//! machines that differ *only* in the engine: the default one, which
+//! forms and enters superblocks, and the pinned reference engine
+//! (`set_serial_engine(true)`), which single-steps. Final machine
 //! digests (every architectural register, pc, thread state, `now`,
-//! executed-instruction count, and the full code + data memory) must
-//! be bit-identical: superblocks may change wall-clock time, never
-//! simulated state.
+//! billed cycles, executed-instruction count, and the full code + data
+//! memory) must be bit-identical: superblocks may change wall-clock
+//! time, never simulated state.
 //!
 //! The generator deliberately includes programs that decode garbage
 //! (a random word stored over upcoming code can fail to decode, fault
@@ -47,8 +49,8 @@ fn random_program(rng: &mut Rng) -> String {
                 7 => src.push_str(&format!("movi r{d}, {}\n", rng.next_below(1024))),
                 8 => src.push_str(&format!("mov r{d}, r{a}\n")),
                 9 => src.push_str("nop\n"),
-                // A data store: not inert, so it caps any region formed
-                // from the slots before it.
+                // A data store: a local-effect memory op, so it sits
+                // inside memory-inclusive regions.
                 10 => src.push_str(&format!("st r{a}, r7, {}\n", 8 * rng.next_below(8))),
                 // A self-modifying store: splat a random small word over
                 // one of the program's first slots. The overwritten
@@ -76,6 +78,9 @@ fn digest(m: &Machine, tid: switchless_core::machine::ThreadId, code_end: u64) -
     d.push(m.thread_pc(tid));
     d.push(m.thread_state(tid) as u64);
     d.push(m.now().0);
+    // A program that halts before the horizon leaves `now` at the
+    // horizon; its billed cycles still record every instruction's cost.
+    d.push(m.billed_cycles(tid).0);
     d.push(m.counters().get("inst.executed"));
     d.push(u64::from(m.halted_reason().is_some()));
     let mut addr = 0x10000;
@@ -93,19 +98,19 @@ fn fuzz_once(seed: u64, run: Cycles) {
     let mut rng = Rng::seed_from(seed);
     let src = random_program(&mut rng);
     let prog = assemble(&src).unwrap_or_else(|e| panic!("seed {seed}: bad program: {e:?}\n{src}"));
-    let run_one = |sb: bool| {
+    let run_one = |serial: bool| {
         let mut m = Machine::new(MachineConfig::small());
-        m.set_superblocks(sb);
+        m.set_serial_engine(serial);
         let tid = m.load_program(0, &prog).expect("load");
         m.start_thread(tid);
         m.run_for(run);
         digest(&m, tid, prog.end())
     };
-    let on = run_one(true);
-    let off = run_one(false);
+    let default = run_one(false);
+    let reference = run_one(true);
     assert_eq!(
-        on, off,
-        "seed {seed}: digests diverged between superblocks on and off\n{src}"
+        default, reference,
+        "seed {seed}: digests diverged between the default and the reference engine\n{src}"
     );
 }
 

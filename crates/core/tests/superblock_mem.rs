@@ -1,8 +1,8 @@
 //! Memory-inclusive superblocks: the batched load/store fast path must
-//! be behaviourally invisible. Each scenario runs on three twin
-//! machines — default (superblocks + memory blocks), memory blocks off
-//! (`set_mem_superblocks(false)`), and the whole engine off
-//! (`set_superblocks(false)`) — and requires identical simulated time,
+//! be behaviourally invisible. Each scenario runs on two twin machines
+//! — the default engine (superblocks + memory blocks) and the pinned
+//! reference engine (`set_serial_engine(true)`, every instruction
+//! single-stepped) — and requires identical simulated time,
 //! thread states, registers, statistics counters, and cache hit/miss
 //! totals. Scenarios target the three bail routes the fast path adds:
 //!
@@ -20,35 +20,9 @@ use switchless_core::tid::ThreadState;
 use switchless_isa::asm::{assemble, Program};
 use switchless_sim::time::Cycles;
 
-/// Engine configurations under comparison.
-#[derive(Clone, Copy, Debug)]
-enum Engine {
-    MemBlocks,
-    PureBlocksOnly,
-    SingleStep,
-}
-
-const ENGINES: [Engine; 3] = [
-    Engine::MemBlocks,
-    Engine::PureBlocksOnly,
-    Engine::SingleStep,
-];
-
-fn machine(engine: Engine) -> Machine {
+fn machine(serial: bool) -> Machine {
     let mut m = Machine::new(MachineConfig::small());
-    match engine {
-        Engine::MemBlocks => {
-            m.set_superblocks(true);
-            m.set_mem_superblocks(true);
-        }
-        Engine::PureBlocksOnly => {
-            m.set_superblocks(true);
-            m.set_mem_superblocks(false);
-        }
-        Engine::SingleStep => {
-            m.set_superblocks(false);
-        }
-    }
+    m.set_serial_engine(serial);
     m
 }
 
@@ -82,27 +56,20 @@ fn observe(m: &Machine, tids: &[ThreadId]) -> Observed {
     }
 }
 
-/// Runs `scenario` on all three engines and asserts the final
-/// observations match. A single end-of-scenario snapshot suffices:
-/// every intermediate divergence would feed forward into the final
-/// counters, registers, or simulated time.
+/// Runs `scenario` on both engines and asserts the final observations
+/// match. A single end-of-scenario snapshot suffices: every
+/// intermediate divergence would feed forward into the final counters,
+/// registers, or simulated time.
 fn assert_equivalent(scenario: impl Fn(&mut Machine) -> Vec<ThreadId>) {
-    let mut baseline: Option<Observed> = None;
-    for engine in ENGINES {
-        let mut m = machine(engine);
+    let [default, reference] = [false, true].map(|serial| {
+        let mut m = machine(serial);
         let tids = scenario(&mut m);
-        let obs = observe(&m, &tids);
-        match &baseline {
-            None => baseline = Some(obs),
-            Some(base) => {
-                assert_eq!(
-                    base, &obs,
-                    "engine {engine:?} diverged from {:?}",
-                    ENGINES[0]
-                );
-            }
-        }
-    }
+        observe(&m, &tids)
+    });
+    assert_eq!(
+        default, reference,
+        "the default engine diverged from the reference engine"
+    );
 }
 
 fn halt_word() -> u64 {
@@ -175,7 +142,7 @@ fn armed_monitor_line_bails_block_and_wakes_on_serial_cycle() {
 /// footprint from the storer's L1. The next block arrival must fall
 /// back to single-step (re-warming the line) with zero double-counted
 /// cache statistics — asserted by total equality of per-level hit/miss
-/// counts against both fallback engines.
+/// counts against the single-stepping reference engine.
 #[test]
 fn dma_eviction_of_footprint_line_falls_back_without_stat_skew() {
     assert_equivalent(|m| {

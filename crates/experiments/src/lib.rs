@@ -29,10 +29,13 @@
 //! Every multi-core simulated machine runs on the core-sharded epoch
 //! engine (`switchless_core::shard`); `--machine-jobs N` lets it use up
 //! to `N` host threads, one per simulated core (default 1: epochs run
-//! inline). `SWITCHLESS_ENGINE=serial` pins the serial reference engine
-//! instead. The epoch engine is conservative: every epoch either commits
-//! bit-identically to the serial engine or is discarded and replayed
-//! serially, so simulated results — and therefore the CSV tree — are
+//! inline). `SWITCHLESS_ENGINE=serial` pins the reference engine
+//! instead: the serial loop, single-stepping every instruction (no
+//! superblocks); any other non-empty value panics. The epoch engine is
+//! conservative: every epoch either commits bit-identically to the
+//! serial engine or is discarded and replayed serially, and superblocks
+//! only batch what single-stepping would do, so simulated results — and
+//! therefore the CSV tree — are
 //! bit-identical for either engine and every `--machine-jobs` value;
 //! only wall-clock time changes. Experiments that run with the invariant
 //! checker enabled (F17) use the serial engine automatically.

@@ -2,7 +2,7 @@
 # Tier-1 gate: everything here runs fully offline.
 #
 #   build    release build of the whole workspace
-#   test     the ~450 unit/integration/property tests
+#   test     the ~590 unit/integration/seeded-property tests
 #   clippy   workspace lints, warnings are errors
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
@@ -16,30 +16,20 @@
 #   jobs     parallel-determinism check: the full --quick suite at
 #            --jobs 1 and --jobs 4 must write bit-identical results/
 #            trees (the harness's core invariant)
-#   engine   engine-determinism check: the suite on the serial
-#            reference engine (SWITCHLESS_ENGINE=serial) and on the
-#            default core-sharded epoch engine must write bit-identical
-#            results/ trees, both for the full suite and for --quick
-#            --jobs 4; one --quick run with --machine-jobs 2 keeps
-#            host-threaded epochs diffed too (the epoch engine may only
-#            change wall-clock time, never results)
+#   engine   engine-determinism check: the suite on the reference
+#            engine (SWITCHLESS_ENGINE=serial: the serial event loop,
+#            every instruction single-stepped, no superblocks) and on
+#            the default engine (core-sharded epochs on multi-core
+#            machines, pure and memory superblocks everywhere) must
+#            write bit-identical results/ trees, both for the full
+#            suite and for --quick --jobs 4; one --quick run with
+#            --machine-jobs 2 keeps host-threaded epochs diffed too
+#            (epochs and superblocks may only change wall-clock time,
+#            never results)
 #   golden   the committed results/ tree is what a fresh full run
 #            produces: every results/*.csv byte-matches the full
 #            default-engine run above, and results/full_run.txt matches
 #            its log with the volatile lines stripped
-#   sblocks  superblock-determinism check: the suite with the
-#            superblock engine disabled (SWITCHLESS_SUPERBLOCKS=0) must
-#            write results/ trees bit-identical to the default-on runs
-#            above, both for the full suite and for --quick --jobs 4
-#            (superblocks may only change wall-clock time, never
-#            results)
-#   memsb    memory-superblock-determinism check: the suite with only
-#            the batched load/store fast path disabled
-#            (SWITCHLESS_MEM_SUPERBLOCKS=0, pure-register superblocks
-#            still on) must write results/ trees bit-identical to the
-#            default-on runs, both for the full suite and for --quick
-#            --jobs 4 (the memory fast path may only change wall-clock
-#            time, never results)
 #   bench    host-throughput smoke + regression gate: switchless-bench
 #            --quick must emit well-formed switchless-bench/v1 JSON, and
 #            no bench may drop more than 20% below the newest committed
@@ -165,46 +155,6 @@ if [ "$gold" != "$fresh" ]; then
     exit 1
 fi
 echo "golden results: committed CSVs and full_run.txt match a fresh full run"
-
-step "superblock determinism (SWITCHLESS_SUPERBLOCKS=0 vs default-on, --quick)"
-sbq=target/ci-results-nosb-quick
-rm -rf "$sbq"
-SWITCHLESS_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --out "$sbq" >/dev/null
-if ! diff -r "$mq1" "$sbq"; then
-    echo "FAIL: results/ trees differ between superblocks on and off (--quick)" >&2
-    exit 1
-fi
-echo "superblock determinism (quick): identical results/ trees"
-
-step "superblock determinism (SWITCHLESS_SUPERBLOCKS=0 vs default-on, full)"
-sbf=target/ci-results-nosb-full
-rm -rf "$sbf"
-SWITCHLESS_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --out "$sbf" >/dev/null
-if ! diff -r "$mf1" "$sbf"; then
-    echo "FAIL: results/ trees differ between superblocks on and off (full)" >&2
-    exit 1
-fi
-echo "superblock determinism (full): identical results/ trees"
-
-step "memory-superblock determinism (SWITCHLESS_MEM_SUPERBLOCKS=0 vs default-on, --quick)"
-msq=target/ci-results-nomemsb-quick
-rm -rf "$msq"
-SWITCHLESS_MEM_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --out "$msq" >/dev/null
-if ! diff -r "$mq1" "$msq"; then
-    echo "FAIL: results/ trees differ between memory superblocks on and off (--quick)" >&2
-    exit 1
-fi
-echo "memory-superblock determinism (quick): identical results/ trees"
-
-step "memory-superblock determinism (SWITCHLESS_MEM_SUPERBLOCKS=0 vs default-on, full)"
-msf=target/ci-results-nomemsb-full
-rm -rf "$msf"
-SWITCHLESS_MEM_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --out "$msf" >/dev/null
-if ! diff -r "$mf1" "$msf"; then
-    echo "FAIL: results/ trees differ between memory superblocks on and off (full)" >&2
-    exit 1
-fi
-echo "memory-superblock determinism (full): identical results/ trees"
 
 step "bench smoke (switchless-bench --quick)"
 bj=target/bench-smoke.json
