@@ -444,8 +444,9 @@ type HostEvent = Box<dyn FnOnce(&mut Machine)>;
 /// enabled; must not mutate anything (it sees `&Machine`).
 type InvariantFn = Box<dyn Fn(&Machine) -> Option<String>>;
 
-/// Pre-resolved [`CounterId`]s for counters bumped on (nearly) every
-/// dispatched instruction or store — skips the per-call string hash.
+/// Pre-resolved [`CounterId`]s for counters bumped on per-event paths
+/// (dispatched instructions, stores, monitor arms, wakes, DMA writes) —
+/// skips the per-call string hash.
 pub(crate) struct HotCounters {
     pub(crate) inst_executed: CounterId,
     pub(crate) sched_dispatches: CounterId,
@@ -454,6 +455,8 @@ pub(crate) struct HotCounters {
     pub(crate) monitor_false_wakes: CounterId,
     pub(crate) thread_wakes: CounterId,
     pub(crate) activate: [CounterId; 4],
+    monitor_armed: CounterId,
+    dma_bytes: CounterId,
 }
 
 impl HotCounters {
@@ -471,6 +474,8 @@ impl HotCounters {
                 counters.id("store.activate.l3"),
                 counters.id("store.activate.dram"),
             ],
+            monitor_armed: counters.id("monitor.armed"),
+            dma_bytes: counters.id("dma.bytes"),
         }
     }
 }
@@ -946,7 +951,7 @@ impl Machine {
                 self.hier.invalidate_line(line);
             }
         }
-        self.counters.add("dma.bytes", bytes.len() as u64);
+        self.counters.bump(self.hot.dma_bytes, bytes.len() as u64);
         self.after_store(addr, bytes.len() as u64, true);
     }
 
@@ -1537,12 +1542,7 @@ impl Machine {
             let tier = self.cores[core].store.tier_of(ptid);
             if tier != Tier::Rf {
                 let (cost, from) = self.cores[core].store.activate(ptid, prio2, bytes);
-                self.counters.inc(match from {
-                    Tier::Rf => "store.activate.rf",
-                    Tier::L2 => "store.activate.l2",
-                    Tier::L3 => "store.activate.l3",
-                    Tier::Dram => "store.activate.dram",
-                });
+                self.counters.bump(self.hot.activate[from as usize], 1);
                 // Transfer overlaps with queueing: the thread cannot be
                 // dispatched before the transfer completes, but other
                 // threads keep the pipeline busy meanwhile.
@@ -2214,7 +2214,7 @@ impl Machine {
             Ok(()) => {
                 let t = self.thread_mut(ptid);
                 t.monitor_armed = true;
-                self.counters.inc("monitor.armed");
+                self.counters.bump(self.hot.monitor_armed, 1);
             }
             Err(_) => {
                 // Filter exhausted (CAM design): deliver as a permission

@@ -20,13 +20,14 @@
 //! note.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use switchless_core::machine::{Machine, ThreadId};
 use switchless_dev::nic::Nic;
 use switchless_isa::asm::assemble;
 use switchless_sim::error::SimError;
+use switchless_sim::hash::FxHashMap;
 use switchless_sim::stats::Histogram;
 use switchless_sim::time::Cycles;
 
@@ -121,8 +122,9 @@ struct EngineState {
     nic: Nic,
     nic_tail: u64,
     seen: u64,
-    /// Packet metadata registered by the harness, by sequence number.
-    meta: HashMap<u64, (Cycles, Cycles)>,
+    /// Packet metadata registered by the harness, by sequence number;
+    /// each entry is taken when its packet is dispatched.
+    meta: FxHashMap<u64, (Cycles, Cycles)>,
     /// Packets waiting for a free worker.
     backlog: VecDeque<Packet>,
     /// Per-worker assignment queues (at most one deep in practice).
@@ -265,7 +267,7 @@ impl IoEngine {
             nic: *nic,
             nic_tail: nic.rx_tail,
             seen: 0,
-            meta: HashMap::new(),
+            meta: FxHashMap::default(),
             backlog: VecDeque::new(),
             assigned: vec![VecDeque::new(); n_workers],
             mailboxes,
@@ -285,11 +287,7 @@ impl IoEngine {
             while s.seen < tail {
                 let seq = s.seen;
                 s.seen += 1;
-                let (arrival, service) = s
-                    .meta
-                    .get(&seq)
-                    .copied()
-                    .unwrap_or((mach.now(), Cycles(1000)));
+                let (arrival, service) = s.meta.remove(&seq).unwrap_or((mach.now(), Cycles(1000)));
                 let pkt = Packet {
                     seq,
                     arrival,

@@ -11,8 +11,10 @@
 //! Simulators schedule almost every event a short, bounded distance into
 //! the future (instruction costs, activation latencies), so the common
 //! case is served by a timing wheel: slot `at % WHEEL_SLOTS` holds a FIFO
-//! of the events due at cycle `at`, and an occupancy bitmap finds the
-//! next non-empty slot with a handful of word scans. Events outside the
+//! of the events due at cycle `at`. A two-level occupancy bitmap (one bit
+//! per slot, plus one summary bit per bitmap word) finds the next
+//! non-empty slot in O(1): a masked check of the cursor's word, else one
+//! rotate and trailing-zeros count on the summary. Events outside the
 //! wheel horizon — scheduled in the past or more than [`WHEEL_SLOTS`]
 //! cycles ahead — go to a binary heap and are merged by `(time, seq)` at
 //! pop time.
@@ -60,6 +62,8 @@ const RING_WINDOW: usize = 4096;
 const WHEEL_SLOTS: usize = 4096;
 /// Words in the slot-occupancy bitmap.
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+// The summary word has one bit per bitmap word.
+const _: () = assert!(WHEEL_WORDS == 64);
 
 /// A passive priority queue of timestamped events.
 ///
@@ -97,6 +101,8 @@ pub struct EventQueue<E> {
     free_head: u32,
     /// One bit per wheel slot, set when that slot's FIFO is non-empty.
     occupied: [u64; WHEEL_WORDS],
+    /// Bit `w` is set iff `occupied[w] != 0`.
+    summary: u64,
     /// Events outside the wheel horizon (far future, or scheduled in the
     /// past), merged with the wheel by `(time, seq)` at pop time.
     overflow: BinaryHeap<Reverse<Entry<E>>>,
@@ -194,6 +200,7 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free_head: NIL,
             occupied: [0; WHEEL_WORDS],
+            summary: 0,
             overflow: BinaryHeap::new(),
             ring: Box::new([RETIRED; RING_WINDOW]),
             ring_base: 0,
@@ -248,7 +255,15 @@ impl<E> EventQueue<E> {
             self.slab[f.tail as usize].next = idx;
             self.slots[slot].tail = idx;
         }
-        self.occupied[(slot >> 6) & (WHEEL_WORDS - 1)] |= 1 << (slot & 63);
+        self.mark_occupied(slot);
+    }
+
+    /// Sets `slot`'s occupancy bit and its word's summary bit.
+    #[inline]
+    fn mark_occupied(&mut self, slot: usize) {
+        let w = (slot >> 6) & (WHEEL_WORDS - 1);
+        self.occupied[w] |= 1 << (slot & 63);
+        self.summary |= 1 << w;
     }
 
     /// Unlinks and returns `slot`'s head node, clearing the occupancy bit
@@ -267,7 +282,11 @@ impl<E> EventQueue<E> {
         if next == NIL {
             self.slots[slot].head = NIL;
             self.slots[slot].tail = NIL;
-            self.occupied[(slot >> 6) & (WHEEL_WORDS - 1)] &= !(1 << (slot & 63));
+            let w = (slot >> 6) & (WHEEL_WORDS - 1);
+            self.occupied[w] &= !(1 << (slot & 63));
+            if self.occupied[w] == 0 {
+                self.summary &= !(1 << w);
+            }
         } else {
             let nn = &self.slab[next as usize];
             let (nat, nseq) = (nn.at, nn.seq);
@@ -472,7 +491,7 @@ impl<E> EventQueue<E> {
                     self.slots[slot].tail = idx;
                 }
             }
-            self.occupied[(slot >> 6) & (WHEEL_WORDS - 1)] |= 1 << (slot & 63);
+            self.mark_occupied(slot);
         } else {
             self.overflow.push(Reverse(Entry { at, seq, event }));
         }
@@ -552,8 +571,9 @@ impl<E> EventQueue<E> {
     }
 
     /// First occupied wheel slot in time order, starting at the cursor's
-    /// slot and wrapping. Bitmap scan: the hot case resolves in the first
-    /// word.
+    /// slot and wrapping. O(1): the hot case resolves in the cursor's own
+    /// word; otherwise the summary word, rotated so the word after the
+    /// cursor's is bit 0, names the next non-empty word.
     fn next_occupied_slot(&self) -> Option<usize> {
         let start = self.last_popped.0 as usize & (WHEEL_SLOTS - 1);
         let w0 = start >> 6;
@@ -561,16 +581,18 @@ impl<E> EventQueue<E> {
         if first != 0 {
             return Some((w0 << 6) + first.trailing_zeros() as usize);
         }
-        for k in 1..=WHEEL_WORDS {
-            // k == WHEEL_WORDS revisits the start word to catch slots
-            // below `start` (wrapped, i.e. latest-in-window times).
-            let w = (w0 + k) & (WHEEL_WORDS - 1);
-            let word = self.occupied[w];
-            if word != 0 {
-                return Some((w << 6) + word.trailing_zeros() as usize);
-            }
+        if self.summary == 0 {
+            return None;
         }
-        None
+        // Bit k of the rotated summary is word `w0 + 1 + k`; k == 63 is
+        // the cursor's word again, whose set bits here all lie below
+        // `start` (wrapped, i.e. latest-in-window times).
+        let k = self
+            .summary
+            .rotate_right(((w0 + 1) & (WHEEL_WORDS - 1)) as u32)
+            .trailing_zeros() as usize;
+        let w = (w0 + 1 + k) & (WHEEL_WORDS - 1);
+        Some((w << 6) + self.occupied[w].trailing_zeros() as usize)
     }
 
     /// Removes and returns the head entry (which the caller has located
@@ -977,62 +999,111 @@ mod order_tests {
         }
     }
 
-    /// Same brute force, but with interleaved pops and a time range that
-    /// straddles the wheel horizon, so wheel/overflow merging and the
-    /// advancing cursor are both exercised.
+    /// The summary word mirrors the occupancy bitmap exactly: bit `w` is
+    /// set iff word `w` has an occupied slot.
+    fn assert_summary_consistent<E>(q: &EventQueue<E>) {
+        for (w, &word) in q.occupied.iter().enumerate() {
+            assert_eq!(q.summary >> w & 1 == 1, word != 0, "summary bit {w}");
+        }
+    }
+
+    /// Same brute force with every operation interleaved, against a
+    /// sorted-set model, over times that lap the wheel many times:
+    /// schedules near the cursor, across the whole wheel, straddling the
+    /// overflow horizon, far beyond it and in the past; cancels (checked
+    /// against model membership); `pop`, `pop_due`, `peek_time`,
+    /// `next_deadline`, and `pop_keyed` with a later `restore`. After
+    /// each step the summary word must match the occupancy bitmap: a
+    /// wheel `restore` always lands in the cursor's slot, so a missed
+    /// summary update there would not show in pop order.
     #[test]
     fn random_interleaved_pops_preserve_order() {
-        let mut state = 0xdead_beef_cafe_f00du64;
+        use std::collections::BTreeSet;
+        let mut state = 0x0bad_5eed_1234_abcdu64;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
-        for _round in 0..20 {
+        let w = WHEEL_SLOTS as u64;
+        for _round in 0..12 {
             let mut q = EventQueue::new();
-            // Model: sorted list of live (time, seq); pops must match its
-            // prefix, respecting monotone time (never schedule before the
-            // last popped time so the model stays comparable).
-            let mut model: Vec<(u64, u64)> = Vec::new();
+            let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+            let mut tokens: Vec<(EventToken, u64, u64)> = Vec::new();
+            let mut lifted: Vec<(Cycles, EventToken, u64)> = Vec::new();
             let mut floor = 0u64;
             let mut seq = 0u64;
-            let mut tokens: Vec<(EventToken, u64, u64)> = Vec::new();
-            for _ in 0..400 {
+            for _ in 0..8000 {
                 let r = next();
-                match r % 5 {
-                    0 | 1 => {
-                        // Spread far beyond one wheel width.
-                        let at = floor + r % (3 * WHEEL_SLOTS as u64);
+                let head = model.first().map(|&(at, _)| Cycles(at));
+                match r % 16 {
+                    0..=4 => {
+                        let at = match (r >> 8) % 6 {
+                            0 | 1 => floor + (r >> 16) % 64,
+                            2 => floor + (r >> 16) % w,
+                            3 => floor + w - 4 + (r >> 16) % 8,
+                            4 => floor + w + (r >> 16) % (2 * w),
+                            _ => floor.saturating_sub((r >> 16) % 100),
+                        };
                         let tok = q.schedule(Cycles(at), seq);
                         tokens.push((tok, at, seq));
-                        model.push((at, seq));
+                        model.insert((at, seq));
                         seq += 1;
                     }
-                    2 if !tokens.is_empty() => {
-                        let idx = (r as usize / 7) % tokens.len();
-                        let (tok, time, s) = tokens.swap_remove(idx);
-                        if q.cancel(tok) {
-                            model.retain(|&(t, sq)| !(t == time && sq == s));
+                    6 if !tokens.is_empty() => {
+                        let (tok, at, s) = tokens[(r >> 8) as usize % tokens.len()];
+                        assert_eq!(q.cancel(tok), model.remove(&(at, s)));
+                    }
+                    7 => {
+                        assert_eq!(q.peek_time(), head);
+                        assert_eq!(q.next_deadline(), head);
+                    }
+                    8 => {
+                        let now = Cycles(floor + (r >> 8) % 128);
+                        let want = model.first().copied().filter(|&(at, _)| at <= now.0);
+                        let got = q.pop_due(now);
+                        assert_eq!(got, want.map(|(at, s)| (Cycles(at), s)));
+                        if let Some(e) = want {
+                            model.remove(&e);
+                            floor = floor.max(e.0);
                         }
                     }
+                    9 | 10 => match q.pop_keyed() {
+                        Some((at, tok, s)) => {
+                            assert_eq!(model.pop_first(), Some((at.0, s)));
+                            floor = floor.max(at.0);
+                            lifted.push((at, tok, s));
+                        }
+                        None => assert!(model.is_empty()),
+                    },
+                    11 | 12 if !lifted.is_empty() => {
+                        let (at, tok, s) = lifted.swap_remove((r >> 8) as usize % lifted.len());
+                        q.restore(at, tok, s);
+                        model.insert((at.0, s));
+                    }
                     _ => {
-                        model.sort_unstable();
-                        if model.is_empty() {
-                            assert_eq!(q.pop(), None);
-                        } else {
-                            let (at, s) = model.remove(0);
-                            assert_eq!(q.pop(), Some((Cycles(at), s)));
-                            floor = at;
+                        let want = model.pop_first();
+                        assert_eq!(q.pop(), want.map(|(at, s)| (Cycles(at), s)));
+                        if let Some((at, _)) = want {
+                            floor = floor.max(at);
                         }
                     }
                 }
+                assert_eq!(q.len(), model.len());
+                assert_summary_consistent(&q);
             }
-            model.sort_unstable();
+            assert!(floor > 16 * w, "times lap the wheel: reached {floor}");
+            for (at, tok, s) in lifted.drain(..) {
+                q.restore(at, tok, s);
+                model.insert((at.0, s));
+            }
             for (at, s) in model {
                 assert_eq!(q.pop(), Some((Cycles(at), s)));
+                assert_summary_consistent(&q);
             }
             assert_eq!(q.pop(), None);
+            assert_eq!(q.summary, 0);
         }
     }
 }

@@ -11,10 +11,21 @@
 //!
 //! The hardware-thread overheads are *calibrated from the machine model*
 //! by the experiment harness, not invented here.
+//!
+//! # Event order without an event queue
+//!
+//! The simulator has only two kinds of event, and both are cheap to
+//! order directly. Arrivals are known up front: job indices are
+//! stable-sorted by arrival time once and consumed by a cursor. In-flight
+//! segments are at most one per server, each holding its completion time,
+//! its dispatch number and its job; the next completion is the minimum of
+//! those few. At equal times an arrival goes before a completion, and
+//! completions go in dispatch order. That is the `(time, insertion)`
+//! order of an event queue into which every arrival was scheduled before
+//! the first dispatch, so results match such a queue exactly.
 
 use std::collections::VecDeque;
 
-use switchless_sim::event::EventQueue;
 use switchless_sim::stats::Histogram;
 use switchless_sim::time::Cycles;
 
@@ -88,9 +99,12 @@ struct Job {
     woken: bool,
 }
 
-enum Ev {
-    Arrival(usize),
-    Done { server: usize, job: usize },
+/// A dispatched segment, occupying one server until `at`.
+struct InFlight {
+    at: Cycles,
+    /// Dispatch number: completions at equal times go in dispatch order.
+    n: u64,
+    job: usize,
 }
 
 /// The simulator (stateless; see [`QueueSim::run`]).
@@ -110,7 +124,6 @@ impl QueueSim {
         if let Discipline::Rr { quantum } = cfg.discipline {
             assert!(quantum > Cycles::ZERO, "quantum must be positive");
         }
-        let mut q: EventQueue<Ev> = EventQueue::new();
         let mut state: Vec<Job> = jobs
             .iter()
             .map(|&(arrival, service)| Job {
@@ -119,12 +132,14 @@ impl QueueSim {
                 woken: false,
             })
             .collect();
-        for (i, j) in state.iter().enumerate() {
-            q.schedule(j.arrival, Ev::Arrival(i));
-        }
+        // Arrival order; the sort is stable, so equal times keep input order.
+        let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
+        arrivals.sort_by_key(|&i| jobs[i].0);
+        let mut next_arrival = 0;
 
         let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut free: Vec<usize> = (0..cfg.servers).rev().collect();
+        let mut in_flight: Vec<InFlight> = Vec::with_capacity(cfg.servers);
+        let mut dispatched = 0u64;
         let mut result = QueueResult {
             sojourn: Histogram::new(),
             completed: 0,
@@ -132,15 +147,34 @@ impl QueueSim {
             busy_cycles: 0,
         };
 
-        let dispatch = |now: Cycles,
-                        ready: &mut VecDeque<usize>,
-                        free: &mut Vec<usize>,
-                        state: &mut Vec<Job>,
-                        q: &mut EventQueue<Ev>,
-                        busy: &mut u64| {
-            while let (Some(&job), true) = (ready.front(), !free.is_empty()) {
-                ready.pop_front();
-                let server = free.pop().expect("checked non-empty");
+        loop {
+            // Next completion (earliest, then first dispatched) and next
+            // arrival; an arrival wins a tie.
+            let done = (0..in_flight.len()).min_by_key(|&k| (in_flight[k].at, in_flight[k].n));
+            let now = match arrivals.get(next_arrival) {
+                Some(&job) if done.is_none_or(|k| state[job].arrival <= in_flight[k].at) => {
+                    next_arrival += 1;
+                    ready.push_back(job);
+                    state[job].arrival
+                }
+                _ => {
+                    let Some(k) = done else { break };
+                    let InFlight { at: now, job, .. } = in_flight.swap_remove(k);
+                    let j = &state[job];
+                    if j.remaining == Cycles::ZERO {
+                        result.completed += 1;
+                        result.makespan = result.makespan.max(now);
+                        if j.arrival >= warmup {
+                            result.sojourn.record((now - j.arrival).0);
+                        }
+                    } else {
+                        ready.push_back(job);
+                    }
+                    now
+                }
+            };
+            while in_flight.len() < cfg.servers {
+                let Some(job) = ready.pop_front() else { break };
                 let j = &mut state[job];
                 let mut cost = cfg.dispatch_overhead;
                 if !j.woken {
@@ -153,37 +187,14 @@ impl QueueSim {
                 };
                 j.remaining -= segment;
                 let total = cost + segment;
-                *busy += total.0;
-                q.schedule(now + total, Ev::Done { server, job });
+                result.busy_cycles += total.0;
+                in_flight.push(InFlight {
+                    at: now + total,
+                    n: dispatched,
+                    job,
+                });
+                dispatched += 1;
             }
-        };
-
-        while let Some((now, ev)) = q.pop() {
-            match ev {
-                Ev::Arrival(job) => {
-                    ready.push_back(job);
-                }
-                Ev::Done { server, job } => {
-                    free.push(server);
-                    if state[job].remaining == Cycles::ZERO {
-                        result.completed += 1;
-                        result.makespan = result.makespan.max(now);
-                        if state[job].arrival >= warmup {
-                            result.sojourn.record((now - state[job].arrival).0);
-                        }
-                    } else {
-                        ready.push_back(job);
-                    }
-                }
-            }
-            dispatch(
-                now,
-                &mut ready,
-                &mut free,
-                &mut state,
-                &mut q,
-                &mut result.busy_cycles,
-            );
         }
         result
     }

@@ -3,7 +3,8 @@
 #
 #   build    release build of the whole workspace
 #   test     the ~590 unit/integration/seeded-property tests
-#   clippy   workspace lints, warnings are errors
+#   clippy   workspace lints over all targets (tests and examples too),
+#            warnings are errors
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
 #            reports (timing and absolute-path lines stripped)
@@ -57,7 +58,7 @@ step "cargo test"
 cargo test -q --workspace
 
 step "cargo clippy -D warnings"
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 step "deterministic replay (f16 twice, same seed)"
 # Strip wall-clock noise: per-experiment "(N.Ns)" lines, csv paths, and

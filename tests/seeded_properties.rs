@@ -5,6 +5,7 @@
 //! its seed and its inputs before failing the test, so it replays by
 //! seed alone.
 
+use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -16,10 +17,11 @@ use switchless::isa::disasm::disassemble;
 use switchless::isa::inst::Inst;
 use switchless::mem::monitor::{CamFilter, HashFilter, MonitorFilter, WatchId};
 use switchless::mem::PAddr;
+use switchless::sim::event::EventQueue;
 use switchless::sim::rng::{mix_seed, Rng};
 use switchless::sim::stats::Histogram;
 use switchless::sim::time::Cycles;
-use switchless::wl::queue::{Discipline, QueueConfig, QueueSim};
+use switchless::wl::queue::{Discipline, QueueConfig, QueueResult, QueueSim};
 
 const CASES: u64 = 256;
 
@@ -230,6 +232,120 @@ fn queue_sim_conserves_work() {
         assert_eq!(r.busy_cycles, total);
         let min_service = jobs.iter().map(|&(_, s)| s.0).min().unwrap_or(0);
         assert!(r.sojourn.min() >= min_service);
+    });
+}
+
+/// Reference queueing simulator for [`queue_sim_matches_event_queue_oracle`]:
+/// the same model driven through a general [`EventQueue`]. Every arrival
+/// is scheduled up front, each dispatch schedules its completion, and
+/// events pop in `(time, insertion)` order, one at a time, each followed
+/// by as many dispatches as there are free servers and ready jobs.
+fn queue_sim_oracle(cfg: &QueueConfig, jobs: &[(Cycles, Cycles)], warmup: Cycles) -> QueueResult {
+    enum Ev {
+        Arrival(usize),
+        Done { server: usize, job: usize },
+    }
+    // (arrival, remaining, woken)
+    let mut state: Vec<(Cycles, Cycles, bool)> = jobs
+        .iter()
+        .map(|&(arrival, service)| (arrival, service.max(Cycles(1)), false))
+        .collect();
+    let mut q: EventQueue<Ev> = EventQueue::new();
+    for (i, &(arrival, ..)) in state.iter().enumerate() {
+        q.schedule(arrival, Ev::Arrival(i));
+    }
+    let mut ready: VecDeque<usize> = VecDeque::new();
+    let mut free: Vec<usize> = (0..cfg.servers).rev().collect();
+    let mut result = QueueResult {
+        sojourn: Histogram::new(),
+        completed: 0,
+        makespan: Cycles::ZERO,
+        busy_cycles: 0,
+    };
+    while let Some((now, ev)) = q.pop() {
+        match ev {
+            Ev::Arrival(job) => ready.push_back(job),
+            Ev::Done { server, job } => {
+                free.push(server);
+                let (arrival, remaining, _) = state[job];
+                if remaining == Cycles::ZERO {
+                    result.completed += 1;
+                    result.makespan = result.makespan.max(now);
+                    if arrival >= warmup {
+                        result.sojourn.record((now - arrival).0);
+                    }
+                } else {
+                    ready.push_back(job);
+                }
+            }
+        }
+        while !free.is_empty() {
+            let Some(job) = ready.pop_front() else { break };
+            let server = free.pop().expect("checked non-empty");
+            let (_, remaining, woken) = &mut state[job];
+            let mut cost = cfg.dispatch_overhead;
+            if !*woken {
+                *woken = true;
+                cost += cfg.wakeup_overhead;
+            }
+            let segment = match cfg.discipline {
+                Discipline::Fcfs => *remaining,
+                Discipline::Rr { quantum } => (*remaining).min(quantum),
+            };
+            *remaining -= segment;
+            let total = cost + segment;
+            result.busy_cycles += total.0;
+            q.schedule(now + total, Ev::Done { server, job });
+        }
+    }
+    result
+}
+
+/// The queueing simulator's event order is exactly an event queue's:
+/// [`QueueSim::run`] agrees with [`queue_sim_oracle`] on every reported
+/// figure. Times are drawn on a coarse grid half the time, so equal
+/// arrival times and arrival/completion ties are common; arrivals come
+/// unsorted, service may be zero, and overheads may be nonzero.
+#[test]
+fn queue_sim_matches_event_queue_oracle() {
+    let gen = |rng: &mut Rng| {
+        let grid = if rng.chance(0.5) { 10 } else { 1 };
+        let jobs = vec_of(rng, 0, 120, |r| {
+            (
+                Cycles(r.next_below(400) * grid),
+                Cycles(r.next_below(60) * grid),
+            )
+        });
+        let servers = rng.next_range(1, 4) as usize;
+        let discipline = if rng.chance(0.5) {
+            Discipline::Fcfs
+        } else {
+            Discipline::Rr {
+                quantum: Cycles(rng.next_range(1, 40) * grid),
+            }
+        };
+        let cfg = QueueConfig {
+            servers,
+            discipline,
+            wakeup_overhead: Cycles(rng.next_below(4) * grid),
+            dispatch_overhead: Cycles(rng.next_below(3) * grid),
+        };
+        let warmup = Cycles(rng.next_below(200) * grid);
+        (cfg, jobs, warmup)
+    };
+    for_each_case(10, gen, |(cfg, jobs, warmup)| {
+        let got = QueueSim::run(cfg, jobs, *warmup);
+        let want = queue_sim_oracle(cfg, jobs, *warmup);
+        assert_eq!(got.completed, want.completed);
+        assert_eq!(got.makespan, want.makespan);
+        assert_eq!(got.busy_cycles, want.busy_cycles);
+        let (h, o) = (&got.sojourn, &want.sojourn);
+        assert_eq!(h.count(), o.count());
+        assert_eq!(h.min(), o.min());
+        assert_eq!(h.max(), o.max());
+        assert_eq!(h.mean().to_bits(), o.mean().to_bits());
+        assert_eq!(h.p50(), o.p50());
+        assert_eq!(h.p99(), o.p99());
     });
 }
 
